@@ -30,26 +30,12 @@ def pack_tt(bits: int, n: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(n // 8, "big"), dtype=np.uint8).copy()
 
 
-def unpack_tt(arr: np.ndarray) -> int:
-    """Inverse of pack_tt."""
-    return int.from_bytes(arr.tobytes(), "big")
-
-
 def tt_to_positions(bits: int, n: int) -> np.ndarray:
     """Packed table int -> uint8 array of n single-bit values, position order."""
     if n >= 8:
         return np.unpackbits(pack_tt(bits, n), bitorder="big")
     raw = np.frombuffer(bits.to_bytes(1, "big"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="big")[8 - n :]
-
-
-def positions_to_tt(arr: np.ndarray) -> int:
-    """Inverse of tt_to_positions."""
-    arr = np.asarray(arr, dtype=np.uint8)
-    n = arr.size
-    if n % 8:
-        arr = np.concatenate([np.zeros(8 - n % 8, dtype=np.uint8), arr])
-    return int.from_bytes(np.packbits(arr, bitorder="big").tobytes(), "big")
 
 
 def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
@@ -60,20 +46,17 @@ def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
             raise ParameterError(f"table length {n} is not a whole number of words")
         nbytes = n // 8
         buf = b"".join(t.to_bytes(nbytes, "big") for t in tables)
-        return np.frombuffer(buf, dtype=">u8").astype(np.uint64).reshape(len(tables), -1)
-    return np.array([[t] for t in tables], dtype=np.uint64)
+        return np.frombuffer(buf, dtype=">u8").astype(np.uint64).reshape(len(tables), n // 64)
+    return np.array(tables, dtype=np.uint64).reshape(len(tables), 1)
 
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Hamming weight of each row of a uint64 matrix."""
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-
-def weights_of_tables(tables: Sequence[int], n: int) -> np.ndarray:
-    """Hamming weights of a batch of packed tables."""
-    if not tables:
-        return np.zeros(0, dtype=np.int64)
-    return _popcount_rows(_to_words(tables, n))
+    """Hamming weight of each row of a uint64 matrix (uint8 when each
+    row is one word, int64 otherwise)."""
+    counts = np.bitwise_count(words)
+    if counts.shape[1] == 1:
+        return counts[:, 0]  # summing over one column costs more than the popcount
+    return counts.sum(axis=1, dtype=np.int64)
 
 
 def _span_block(basis_words: np.ndarray, log2_rows: int) -> np.ndarray:
@@ -92,110 +75,50 @@ def _gray_flip_sequence(hi: int) -> Iterator[int]:
         yield (step & -step).bit_length() - 1
 
 
-def span_weight_histogram(
-    basis: Sequence[int],
-    n: int,
-    offset: int = 0,
-) -> np.ndarray:
-    """Weight histogram (length n+1) of {offset XOR span(basis)}.
-
-    Enumerates all 2^len(basis) combinations.  Low _BLOCK_LOG2 basis
-    elements are materialized as one block; remaining elements are folded
-    in by Gray-code XOR so each of the 2^hi outer steps costs one
-    block-wide XOR plus a popcount pass.
-    """
-    r = len(basis)
-    if r == 0:
-        hist = np.zeros(n + 1, dtype=np.int64)
-        hist[bin(offset).count("1")] += 1
-        return hist
-    words = _to_words(list(basis), n)
-    lo = min(r, _BLOCK_LOG2)
-    block = _span_block(words, lo)
-    if offset:
-        block ^= _to_words([offset], n)[0]
-    hist = np.bincount(_popcount_rows(block), minlength=n + 1)
-    if r > lo:
-        for j in _gray_flip_sequence(r - lo):
-            block ^= words[lo + j]
-            hist += np.bincount(_popcount_rows(block), minlength=n + 1)
-    return hist.astype(np.int64)
-
-
-def span_balanced_count(basis: Sequence[int], n: int, offset: int = 0) -> int:
-    """Number of tables of weight n/2 in {offset XOR span(basis)}."""
-    if n % 2:
-        raise ParameterError(f"balanced count needs even table length, got {n}")
-    r = len(basis)
-    if r == 0:
-        return int(bin(offset).count("1") == n // 2)
-    words = _to_words(list(basis), n)
-    lo = min(r, _BLOCK_LOG2)
-    block = _span_block(words, lo)
-    if offset:
-        block ^= _to_words([offset], n)[0]
-    half = n // 2
-    count = int(np.count_nonzero(_popcount_rows(block) == half))
-    if r > lo:
-        for j in _gray_flip_sequence(r - lo):
-            block ^= words[lo + j]
-            count += int(np.count_nonzero(_popcount_rows(block) == half))
-    return count
-
-
 class SpanCounter:
-    """A span of at most _BLOCK_LOG2 basis tables, materialized once, for
-    repeated weight queries against varying coset offsets."""
+    """The span of any number of basis tables, for repeated weight
+    queries against varying coset offsets and orthogonality masks.
+
+    The low _BLOCK_LOG2 basis tables are materialized once as one block.
+    Each query XORs its offset into that block in place and folds the
+    remaining basis tables in by Gray-code stepping, one block-wide XOR
+    plus a popcount pass per step; before returning it XORs out whatever
+    it applied, so the block is the same for every query.
+    """
 
     def __init__(self, basis: Sequence[int], n: int):
-        if len(basis) > _BLOCK_LOG2:
-            raise ParameterError(f"span of {len(basis)} basis tables exceeds one block")
         self.n = n
-        if basis:
-            self._words = _span_block(_to_words(list(basis), n), len(basis))
-        else:
-            nwords = n // 64 if n >= 64 else 1
-            self._words = np.zeros((1, nwords), dtype=np.uint64)
+        words = _to_words(list(basis), n)
+        lo = min(len(basis), _BLOCK_LOG2)
+        self._block = _span_block(words, lo)
+        self._high = words[lo:]
 
-    def _offset_rows(self, offset: int) -> np.ndarray:
-        if not offset:
-            return self._words
-        return self._words ^ _to_words([offset], self.n)[0]
-
-    def balanced_count(self, offset: int = 0) -> int:
-        if self.n % 2:
-            raise ParameterError(f"balanced count needs even table length, got {self.n}")
-        w = _popcount_rows(self._offset_rows(offset))
-        return int(np.count_nonzero(w == self.n // 2))
-
-    def weight_histogram(self, offset: int = 0) -> np.ndarray:
-        w = _popcount_rows(self._offset_rows(offset))
-        return np.bincount(w, minlength=self.n + 1).astype(np.int64)
-
-
-def span_orthogonal_histogram(basis: Sequence[int], n: int, mask: int) -> np.ndarray:
-    """Weight histogram of the span elements with even intersection with
-    mask (i.e. orthogonal to it as F_2 vectors)."""
-    r = len(basis)
-    if r == 0:
-        hist = np.zeros(n + 1, dtype=np.int64)
-        hist[0] += 1  # the zero vector is orthogonal to everything
+    def weight_histogram(self, offset: int = 0, mask: int = 0) -> np.ndarray:
+        """Weight histogram (length n+1) of {offset XOR span(basis)},
+        counting only the words with even intersection with mask (that
+        is, orthogonal to it as F_2 vectors) when mask is nonzero."""
+        block = self._block
+        maskw = _to_words([mask], self.n)[0] if mask else None
+        applied = _to_words([offset], self.n)[0]
+        if offset:
+            block ^= applied
+        try:
+            hist = self._tally(block, maskw)
+            for j in _gray_flip_sequence(len(self._high)):
+                block ^= self._high[j]
+                applied ^= self._high[j]
+                hist += self._tally(block, maskw)
+        finally:
+            # a full walk ends with the offset and the top high table applied
+            if applied.any():
+                block ^= applied
         return hist
-    words = _to_words(list(basis), n)
-    maskw = _to_words([mask], n)[0]
-    lo = min(r, _BLOCK_LOG2)
-    block = _span_block(words, lo)
 
-    def tally(b: np.ndarray) -> np.ndarray:
-        even = _popcount_rows(b & maskw) % 2 == 0
-        return np.bincount(_popcount_rows(b)[even], minlength=n + 1)
-
-    hist = tally(block)
-    if r > lo:
-        for j in _gray_flip_sequence(r - lo):
-            block ^= words[lo + j]
-            hist += tally(block)
-    return hist.astype(np.int64)
+    def _tally(self, block: np.ndarray, maskw: np.ndarray | None) -> np.ndarray:
+        weights = _popcount_rows(block)
+        if maskw is not None:
+            weights = weights[_popcount_rows(block & maskw) % 2 == 0]
+        return np.bincount(weights, minlength=self.n + 1)
 
 
 def iter_span(basis: Sequence[int], n: int, offset: int = 0) -> Iterator[int]:

@@ -157,9 +157,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         census.to_csv(buf)
         _emit(buf.getvalue(), args.output)
     elif args.format == "json":
-        entries = [
-            [census.rep_table(rep_id).to_hex(), str(c)] for rep_id, c in census.entries
-        ]
+        entries = [[rep_hex, str(c)] for rep_hex, c in census.rows()]
         obj = {
             "k": args.k,
             "m": args.m,
@@ -169,9 +167,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(obj) + "\n", args.output)
     else:
-        rows = [
-            (census.rep_table(rep_id).to_hex(), str(c)) for rep_id, c in census.entries
-        ]
+        rows = [(rep_hex, str(c)) for rep_hex, c in census.rows()]
         _emit(_two_column(("rep_hex", "balanced_count"), rows), args.output)
     return 0
 

@@ -26,6 +26,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,10 +37,10 @@ from .errors import CapExceededError, ExactnessError, ParameterError
 from .rmcodes import (
     RMParams,
     WeightDistribution,
-    dimension_cap,
     dual_params,
     monomial_basis,
     pivot_positions,
+    require_cap,
     rm_membership,
     rm_weight_distribution,
 )
@@ -106,6 +108,19 @@ class Verdict:
         }
 
 
+def _scan(counts: Iterable[tuple[object, int]], bound: int) -> tuple[int, object | None]:
+    """(largest count, first item whose count reaches bound) over
+    (item, count) pairs; the largest count of no pairs is 0."""
+    best = 0
+    first = None
+    for item, c in counts:
+        if c > best:
+            best = c
+        if first is None and c >= bound:
+            first = item
+    return best, first
+
+
 def _verdict(claim, params, mode, method, passed, code_count, max_other, witness, t0) -> Verdict:
     return Verdict(
         claim=claim,
@@ -168,12 +183,10 @@ def coset_representatives(
         yield TruthTable(code.m, _build_rep(basis, g))
 
 
-def _require_dim_cap(code: RMParams, cap: int | None, what: str) -> None:
-    limit = dimension_cap(cap)
-    if code.dimension > limit:
-        raise CapExceededError(
-            f"{what} needs dimension {code.dimension} > enumeration cap {limit}"
-        )
+def _code_counter(code: RMParams, cap: int | None, what: str) -> _bitenum.SpanCounter:
+    """The code's span, checked against the enumeration cap."""
+    require_cap(code.dimension, cap, what)
+    return _bitenum.SpanCounter([t.bits for t in monomial_basis(code)], code.n)
 
 
 def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = None) -> int:
@@ -181,9 +194,8 @@ def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = N
     (rep = 0 gives the code's own balanced count)."""
     if rep.m != code.m:
         raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
-    _require_dim_cap(code, cap, f"counting balanced words in a coset of {code}")
-    basis = [t.bits for t in monomial_basis(code)]
-    return _bitenum.span_balanced_count(basis, code.n, rep.bits)
+    counter = _code_counter(code, cap, f"counting balanced words in a coset of {code}")
+    return int(counter.weight_histogram(rep.bits)[code.n // 2])
 
 
 @dataclass(frozen=True)
@@ -196,11 +208,19 @@ class CosetCensus:
     entries: tuple[tuple[int, int], ...]
     code_balanced_count: int
 
+    @cached_property
+    def _basis(self) -> list[int]:
+        return _rep_basis(self.code, self.scope)
+
     def rep_table(self, rep_id: int) -> TruthTable:
-        basis = _rep_basis(self.code, self.scope)
-        if not 1 <= rep_id < (1 << len(basis)):
+        if not 1 <= rep_id < (1 << len(self._basis)):
             raise ParameterError(f"rep id {rep_id} out of range")
-        return TruthTable(self.code.m, _build_rep(basis, rep_id))
+        return TruthTable(self.code.m, _build_rep(self._basis, rep_id))
+
+    def rows(self) -> Iterator[tuple[str, int]]:
+        """(representative hex, balanced count) for every entry, in order."""
+        for rep_id, c in self.entries:
+            yield TruthTable(self.code.m, _build_rep(self._basis, rep_id)).to_hex(), c
 
     def max_entry(self) -> tuple[int, int]:
         """(first id attaining the max count, that count)."""
@@ -213,27 +233,22 @@ class CosetCensus:
         return best_id, best
 
     def to_csv(self, fileobj) -> None:
-        basis = _rep_basis(self.code, self.scope)
-        m = self.code.m
         fileobj.write("rep_hex,balanced_count\n")
-        for rep_id, c in self.entries:
-            fileobj.write(f"{TruthTable(m, _build_rep(basis, rep_id)).to_hex()},{c}\n")
+        for rep_hex, c in self.rows():
+            fileobj.write(f"{rep_hex},{c}\n")
+
+
+def _coset_counts(counter: _bitenum.SpanCounter, basis: list[int], start: int, stop: int) -> list[int]:
+    """Balanced counts for rep ids start..stop-1."""
+    half = counter.n // 2
+    return [int(counter.weight_histogram(_build_rep(basis, g))[half]) for g in range(start, stop)]
 
 
 def _count_chunk(k: int, m: int, scope_name: str, start: int, stop: int) -> list[int]:
-    """Balanced counts for rep ids start..stop-1 (worker entry point)."""
+    """Worker entry point: _coset_counts rebuilt from the parameters."""
     code = RMParams(k, m)
-    scope = Scope[scope_name]
-    basis = _rep_basis(code, scope)
-    code_bits = [t.bits for t in monomial_basis(code)]
-    n = code.n
-    if len(code_bits) <= _bitenum._BLOCK_LOG2:
-        counter = _bitenum.SpanCounter(code_bits, n)
-        return [counter.balanced_count(_build_rep(basis, g)) for g in range(start, stop)]
-    return [
-        _bitenum.span_balanced_count(code_bits, n, _build_rep(basis, g))
-        for g in range(start, stop)
-    ]
+    counter = _bitenum.SpanCounter([t.bits for t in monomial_basis(code)], code.n)
+    return _coset_counts(counter, _rep_basis(code, Scope[scope_name]), start, stop)
 
 
 def _load_checkpoint(path: str, code: RMParams, scope: Scope, total: int) -> list[int]:
@@ -275,9 +290,11 @@ def census_balanced(
     """Balanced-word count of every nontrivial coset in scope, plus the
     code's own count.  Work is sharded over rep-id ranges; the merge is
     by id order, so the result is identical for any worker count."""
+    if workers < 1:
+        raise ParameterError(f"worker count must be at least 1, got {workers}")
     basis = _rep_basis(code, scope)
     _require_coset_cap(len(basis), scope, coset_cap)
-    _require_dim_cap(code, cap, f"balanced census of {code}")
+    counter = _code_counter(code, cap, f"balanced census of {code}")
     total = (1 << len(basis)) - 1
 
     counts: list[int] = []
@@ -297,14 +314,19 @@ def census_balanced(
                     _save_checkpoint(checkpoint, code, scope, total, counts)
     else:
         for a, b in chunks:
-            counts.extend(_count_chunk(code.k, code.m, scope.name, a, b))
+            counts.extend(_coset_counts(counter, basis, a, b))
             if checkpoint:
                 _save_checkpoint(checkpoint, code, scope, total, counts)
 
-    code_bits = [t.bits for t in monomial_basis(code)]
-    code_count = _bitenum.span_balanced_count(code_bits, code.n, 0)
+    code_count = int(counter.weight_histogram()[code.n // 2])
     entries = tuple(zip(range(1, total + 1), counts))
     return CosetCensus(code=code, scope=scope, entries=entries, code_balanced_count=code_count)
+
+
+def _census_scan(census: CosetCensus) -> tuple[int, TruthTable | None]:
+    """(largest coset count, first coset reaching the code's count)."""
+    max_other, bad_id = _scan(census.entries, census.code_balanced_count)
+    return max_other, None if bad_id is None else census.rep_table(bad_id)
 
 
 def _check_theorem_hypothesis(k: int, m: int) -> None:
@@ -335,29 +357,24 @@ def verify_theorem_basic(
     if method is Method.BRUTE:
         census = census_balanced(code, Scope.FULL_SPACE, workers, cap, coset_cap, checkpoint)
         code_count = census.code_balanced_count
-        max_other = max(c for _, c in census.entries)
-        witness = None
-        if max_other >= code_count:
-            bad_id = next(i for i, c in census.entries if c >= code_count)
-            witness = census.rep_table(bad_id)
+        max_other, witness = _census_scan(census)
     elif method is Method.TRANSFORM:
         dual = dual_params(code)
         B = rm_weight_distribution(dual, cap)
         K, n = code.dimension, code.n
         code_count = macwilliams(B, K, n)[n // 2]
-        max_other = 0
-        witness = None
-        for rep in coset_representatives(code, Scope.FULL_SPACE, coset_cap):
+
+        def balanced(rep: TruthTable) -> int:
             profile = coset_dual_profile(CosetSpec(code, rep), cap)
             d_half = assmus_mattson(profile, B, K, n)[n // 2]
             if balanced_gap(B, profile, K, n) != code_count - d_half:
                 raise ExactnessError(
                     f"gap formula disagrees with the transform pair at rep {rep.to_hex()}"
                 )
-            if d_half > max_other:
-                max_other = d_half
-            if witness is None and d_half >= code_count:
-                witness = rep
+            return d_half
+
+        reps = coset_representatives(code, Scope.FULL_SPACE, coset_cap)
+        max_other, witness = _scan(((rep, balanced(rep)) for rep in reps), code_count)
     else:
         raise ParameterError("theorem verification supports BRUTE or TRANSFORM")
 
@@ -383,11 +400,7 @@ def verify_quotient_conjecture(
     code = RMParams(k, m)
     census = census_balanced(code, Scope.WITHIN_NEXT_ORDER, workers, cap, coset_cap, checkpoint)
     code_count = census.code_balanced_count
-    max_other = max(c for _, c in census.entries)
-    witness = None
-    if max_other >= code_count:
-        bad_id = next(i for i, c in census.entries if c >= code_count)
-        witness = census.rep_table(bad_id)
+    max_other, witness = _census_scan(census)
     return _verdict(
         "conjecture", {"k": k, "m": m}, Mode.EMPIRICAL, Method.BRUTE,
         max_other < code_count, code_count, max_other, witness, t0,
@@ -414,16 +427,15 @@ def verify_rm1_proposition(
     if exhaustive:
         if m > 4:
             raise ParameterError(f"exhaustive proposition check supports m <= 4, got {m}")
-        max_other = 0
-        witness = None
-        for rep in coset_representatives(code, Scope.FULL_SPACE, coset_cap):
+
+        def balanced(rep: TruthTable) -> int:
             c = rm1_coset_balanced_count(rep)
             if m <= 3 and c != balanced_count_of_coset(code, rep):
                 raise ExactnessError(f"spectral/brute disagreement at rep {rep.to_hex()}")
-            if c > max_other:
-                max_other = c
-            if witness is None and c >= bound:
-                witness = rep
+            return c
+
+        reps = coset_representatives(code, Scope.FULL_SPACE, coset_cap)
+        max_other, witness = _scan(((rep, balanced(rep)) for rep in reps), bound)
         return _verdict(
             "rm1", {"m": m}, Mode.EXHAUSTIVE, Method.SPECTRAL,
             max_other < bound, bound, max_other, witness, t0,
@@ -466,16 +478,15 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     if not 2 <= m <= 5:
         raise ParameterError(f"odd-weight coset check supports 2 <= m <= 5, got {m}")
     code = RMParams(m - 2, m)
-    _require_dim_cap(code, cap, f"odd-weight coset check of {code}")
-    code_bits = [t.bits for t in monomial_basis(code)]
+    counter = _code_counter(code, cap, f"odd-weight coset check of {code}")
     n = code.n
-    code_count = int(_bitenum.span_weight_histogram(code_bits, n)[n // 2])
+    code_count = int(counter.weight_histogram()[n // 2])
     max_other = 0
     witness = None
     for rep in coset_representatives(code, Scope.FULL_SPACE, coset_cap):
         if rep.bits.bit_count() % 2 == 0:
             continue
-        hist = _bitenum.span_weight_histogram(code_bits, n, rep.bits)
+        hist = counter.weight_histogram(rep.bits)
         balanced = int(hist[n // 2])
         if balanced > max_other:
             max_other = balanced
@@ -497,16 +508,15 @@ def verify_hamming_coset_equidistribution(
     if not 3 <= m <= 5:
         raise ParameterError(f"equidistribution check supports 3 <= m <= 5, got {m}")
     code = RMParams(m - 2, m)
-    _require_dim_cap(code, cap, f"equidistribution check of {code}")
-    code_bits = [t.bits for t in monomial_basis(code)]
+    counter = _code_counter(code, cap, f"equidistribution check of {code}")
     n = code.n
-    code_count = int(_bitenum.span_weight_histogram(code_bits, n)[n // 2])
+    code_count = int(counter.weight_histogram()[n // 2])
 
     reference: WeightDistribution | None = None
     max_other = 0
     witness = None
     for rep in coset_representatives(code, Scope.WITHIN_NEXT_ORDER, coset_cap):
-        hist = _bitenum.span_weight_histogram(code_bits, n, rep.bits)
+        hist = counter.weight_histogram(rep.bits)
         dist = WeightDistribution.from_dense(hist.tolist())
         if reference is None:
             reference = dist
@@ -533,9 +543,8 @@ def coset_weight_distribution(
     dual-side transform; both require rep outside the code."""
     spec = CosetSpec(code, rep)
     if method is Method.BRUTE:
-        _require_dim_cap(code, cap, f"coset distribution of {code}")
-        basis = [t.bits for t in monomial_basis(code)]
-        hist = _bitenum.span_weight_histogram(basis, code.n, rep.bits)
+        counter = _code_counter(code, cap, f"coset distribution of {code}")
+        hist = counter.weight_histogram(rep.bits)
         return WeightDistribution.from_dense(hist.tolist())
     if method is Method.TRANSFORM:
         dual = dual_params(code)

@@ -183,7 +183,9 @@ def monomial_basis(p: RMParams) -> list[TruthTable]:
     ]
 
 
-def _require_cap(dim: int, cap: int | None, what: str) -> None:
+def require_cap(dim: int, cap: int | None, what: str) -> None:
+    """Raise CapExceededError if enumerating a span of dimension dim
+    exceeds the effective enumeration cap."""
     limit = dimension_cap(cap)
     if dim > limit:
         raise CapExceededError(
@@ -195,7 +197,7 @@ def _require_cap(dim: int, cap: int | None, what: str) -> None:
 def rm_iterate(p: RMParams, cap: int | None = None) -> Iterator[TruthTable]:
     """All 2^K codewords, Gray-ordered: successive words differ by one
     basis monomial (one XOR per step)."""
-    _require_cap(p.dimension, cap, f"enumerating {p}")
+    require_cap(p.dimension, cap, f"enumerating {p}")
     basis = [t.bits for t in monomial_basis(p)]
     for bits in _bitenum.iter_span(basis, p.n):
         yield TruthTable(p.m, bits)
@@ -203,11 +205,11 @@ def rm_iterate(p: RMParams, cap: int | None = None) -> Iterator[TruthTable]:
 
 def rm_weight_distribution(p: RMParams, cap: int | None = None) -> WeightDistribution:
     """Exact weight distribution by bit-parallel exhaustive enumeration."""
-    _require_cap(p.dimension, cap, f"weight distribution of {p}")
+    require_cap(p.dimension, cap, f"weight distribution of {p}")
     if p.trivial:
         return WeightDistribution.from_counts(p.n, {0: 1})
     basis = [t.bits for t in monomial_basis(p)]
-    hist = _bitenum.span_weight_histogram(basis, p.n)
+    hist = _bitenum.SpanCounter(basis, p.n).weight_histogram()
     return WeightDistribution.from_dense(hist.tolist())
 
 

@@ -23,14 +23,14 @@ from math import comb
 
 from . import _bitenum
 from .bfcore import TruthTable
-from .errors import CapExceededError, ExactnessError, ParameterError
+from .errors import ExactnessError, ParameterError
 from .krawtchouk import central_column, kraw_column
 from .rmcodes import (
     RMParams,
     WeightDistribution,
-    dimension_cap,
     dual_params,
     monomial_basis,
+    require_cap,
     rm_membership,
 )
 
@@ -111,13 +111,9 @@ def coset_dual_profile(spec: CosetSpec, cap: int | None = None) -> CosetDualProf
     """Enumerate the dual code and count, by weight, the words orthogonal
     to the representative."""
     dual = dual_params(spec.code)
-    limit = dimension_cap(cap)
-    if dual.dimension > limit:
-        raise CapExceededError(
-            f"dual {dual} has dimension {dual.dimension} > enumeration cap {limit}"
-        )
+    require_cap(dual.dimension, cap, f"orthogonality profile over the dual {dual}")
     basis = [t.bits for t in monomial_basis(dual)]
-    hist = _bitenum.span_orthogonal_histogram(basis, spec.code.n, spec.rep.bits)
+    hist = _bitenum.SpanCounter(basis, spec.code.n).weight_histogram(mask=spec.rep.bits)
     profile = CosetDualProfile.from_dense(hist.tolist())
     expected = 1 << (dual.dimension - 1)
     if profile.total != expected:

@@ -222,6 +222,15 @@ def test_census_caps(capsys):
     assert code == 3
 
 
+def test_workers_must_be_positive(capsys):
+    for workers in ("0", "-1"):
+        code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--workers", workers)
+        assert code == 2 and out == "" and "worker count" in err
+        code, out, err = run(capsys, "verify", "conjecture", "-k", "1", "-m", "3",
+                             "--workers", workers)
+        assert code == 2 and out == "" and "worker count" in err
+
+
 def test_census_checkpoint(capsys, tmp_path):
     path = str(tmp_path / "cp.json")
     code, first, _ = run(capsys, "census", "-k", "1", "-m", "3", "--checkpoint", path)

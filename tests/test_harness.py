@@ -149,6 +149,12 @@ def test_census_workers_match_serial():
     assert serial == parallel
 
 
+def test_census_workers_must_be_positive():
+    for workers in (0, -1):
+        with pytest.raises(ParameterError, match="worker count"):
+            census_balanced(RMParams(1, 3), Scope.FULL_SPACE, workers=workers)
+
+
 def test_census_checkpoint_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", 3)
     code = RMParams(1, 3)

@@ -27,7 +27,7 @@ from rmlab.transforms import (
 
 def brute_coset_distribution(code: RMParams, rep: TruthTable) -> WeightDistribution:
     basis = [t.bits for t in monomial_basis(code)]
-    hist = _bitenum.span_weight_histogram(basis, code.n, offset=rep.bits)
+    hist = _bitenum.SpanCounter(basis, code.n).weight_histogram(offset=rep.bits)
     return WeightDistribution.from_dense(hist.tolist())
 
 
