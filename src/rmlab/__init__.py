@@ -42,6 +42,7 @@ from .krawtchouk import (
     central_column,
     kraw_column,
     kraw_direct,
+    kraw_row,
     sign_class,
 )
 from .rmcodes import (

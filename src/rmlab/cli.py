@@ -21,6 +21,7 @@ from .harness import (
     Scope,
     census_balanced,
     coset_weight_distribution,
+    require_workers,
     verify_hamming_coset_equidistribution,
     verify_oddweight_cosets,
     verify_quotient_conjecture,
@@ -28,7 +29,13 @@ from .harness import (
     verify_theorem_basic,
 )
 from .krawtchouk import central_K, central_column, kraw_column, kraw_direct
-from .rmcodes import RMParams, WeightDistribution, dual_params, rm_weight_distribution
+from .rmcodes import (
+    RMParams,
+    WeightDistribution,
+    dual_params,
+    rm_weight_distribution,
+    unlimited_int_digits,
+)
 from .spectral import wht
 from .transforms import macwilliams
 
@@ -124,6 +131,7 @@ def _cmd_wht(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    require_workers(args.workers)
     if args.claim == "theorem5":
         verdict = verify_theorem_basic(
             args.k, args.m, Method(args.method), args.workers,
@@ -263,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with unlimited_int_digits():
+            return args.func(args)
     except ParameterError as exc:
         print(f"rmlab: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -121,6 +121,12 @@ def _scan(counts: Iterable[tuple[object, int]], bound: int) -> tuple[int, object
     return best, first
 
 
+def require_workers(workers: int) -> None:
+    """Raise ParameterError unless the worker count is at least 1."""
+    if workers < 1:
+        raise ParameterError(f"worker count must be at least 1, got {workers}")
+
+
 def _verdict(claim, params, mode, method, passed, code_count, max_other, witness, t0) -> Verdict:
     return Verdict(
         claim=claim,
@@ -290,8 +296,7 @@ def census_balanced(
     """Balanced-word count of every nontrivial coset in scope, plus the
     code's own count.  Work is sharded over rep-id ranges; the merge is
     by id order, so the result is identical for any worker count."""
-    if workers < 1:
-        raise ParameterError(f"worker count must be at least 1, got {workers}")
+    require_workers(workers)
     basis = _rep_basis(code, scope)
     _require_coset_cap(len(basis), scope, coset_cap)
     counter = _code_counter(code, cap, f"balanced census of {code}")

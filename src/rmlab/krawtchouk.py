@@ -1,11 +1,12 @@
 """Exact binary Krawtchouk polynomial values and their sign structure.
 
 P_k(x; n) = sum_j (-1)^j C(x, j) C(n-x, k-j), evaluated at integer
-arguments 0 <= x <= n, always in exact integer arithmetic.  The central
-value K(i, n) = P_{n/2}(i; n) (n even) drives the balanced-weight entry
-of every coset weight distribution, and its sign depends only on
-i mod 4: zero for odd i, negative for i = 2 (mod 4), positive for
-i = 0 (mod 4).
+arguments 0 <= x <= n, always in exact integer arithmetic: a column
+(fixed k, every x) by the recurrence in x, a row (fixed x, every k) by
+the recurrence in k.  The central value K(i, n) = P_{n/2}(i; n) (n even)
+drives the balanced-weight entry of every coset weight distribution, and
+its sign depends only on i mod 4: zero for odd i, negative for
+i = 2 (mod 4), positive for i = 0 (mod 4).
 """
 
 from __future__ import annotations
@@ -69,6 +70,36 @@ def kraw_column(k: int, n: int) -> list[int]:
             )
         col[i + 1] = q
     return col
+
+
+# Cached rows, keyed by (x, n).  2048 holds a full support (n + 1 rows)
+# for every n <= 1024, so one transform never evicts its own rows and a
+# run of transforms over one support reuses them all.
+@lru_cache(maxsize=2048)
+def kraw_row(x: int, n: int) -> tuple[int, ...]:
+    """(P_j(x; n) for j in 0..n) via the three-term recurrence in the
+    degree j:  (j + 1) P_{j+1}(x) = (n - 2x) P_j(x) - (n - j + 1) P_{j-1}(x),
+    from P_0 = 1 and P_1 = n - 2x.
+
+    Every division is checked exact, as in kraw_column.
+    """
+    if n < 0:
+        raise ParameterError(f"length n must be >= 0, got {n}")
+    if not 0 <= x <= n:
+        raise ParameterError(f"argument x must be in 0..n, got x={x}, n={n}")
+    row = [1] * (n + 1)
+    if n == 0:
+        return tuple(row)
+    row[1] = n - 2 * x
+    for j in range(1, n):
+        num = (n - 2 * x) * row[j] - (n - j + 1) * row[j - 1]
+        q, r = divmod(num, j + 1)
+        if r:
+            raise ExactnessError(
+                f"inexact degree recurrence at x={x}, j={j}, n={n}: {num} / {j + 1}"
+            )
+        row[j + 1] = q
+    return tuple(row)
 
 
 def central_K(i: int, n: int) -> int:

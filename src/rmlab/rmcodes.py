@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -97,6 +99,22 @@ def dual_params(p: RMParams) -> RMParams:
     return RMParams(p.m - p.k - 1, p.m)
 
 
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's limit on the digits of int <-> decimal str conversion
+    (4300 by default since 3.10.7/3.11; older interpreters have none) for
+    the body, and restore it after.  Exact counts can be far longer."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @dataclass(frozen=True)
 class WeightDistribution:
     """Sparse weight distribution: pairs (weight, count), sorted by
@@ -160,12 +178,14 @@ class WeightDistribution:
         return dense
 
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "counts": [str(c) for c in self.to_dense()]}
+        with unlimited_int_digits():
+            return {"n": self.n, "counts": [str(c) for c in self.to_dense()]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WeightDistribution":
         n = obj["n"]
-        counts = [int(s) for s in obj["counts"]]
+        with unlimited_int_digits():
+            counts = [int(s) for s in obj["counts"]]
         if len(counts) != n + 1:
             raise ParameterError(f"counts length {len(counts)} != n+1 = {n + 1}")
         return cls.from_dense(counts)

@@ -9,7 +9,9 @@ coset representative a (a not in A):
     A_j = 2^(K-n) sum_i B_i P_j(i;n)            (code)
     d_j = 2^(K-n) sum_i (2 b_i - B_i) P_j(i;n)  (coset A + a)
 
-Both are evaluated purely in exact integers over the sparse supports;
+Both are evaluated purely in exact integers over the sparse supports,
+from one Krawtchouk row (P_j(i;n) for j = 0..n, by the recurrence in the
+degree) per support weight i, so a transform costs O(n |support|);
 every division by 2^(n-K) is checked exact and any remainder (or a
 negative entry) is reported as an inconsistency, never rounded.
 """
@@ -18,13 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from . import _bitenum
 from .bfcore import TruthTable
 from .errors import ExactnessError, ParameterError
-from .krawtchouk import central_column, kraw_column
+from .krawtchouk import central_column, kraw_row
 from .rmcodes import (
     RMParams,
     WeightDistribution,
@@ -68,21 +69,26 @@ class CosetDualProfile(WeightDistribution):
     representative.  Same sparse layout as a weight distribution."""
 
 
-@lru_cache(maxsize=64)
-def _cached_column(j: int, n: int) -> tuple[int, ...]:
-    return tuple(kraw_column(j, n))
+def _check_dual(B: WeightDistribution, K: int, n: int) -> None:
+    """B must be the distribution of a length-n code of dimension n - K."""
+    if B.n != n:
+        raise ParameterError(f"dual distribution has length {B.n}, expected {n}")
+    if not 0 <= K <= n:
+        raise ParameterError(f"dimension K must be in 0..n, got K={K}, n={n}")
+    if B.total != 1 << (n - K):
+        raise ParameterError(f"dual distribution sums to {B.total}, expected 2^{n - K}")
 
 
 def _transform(coeffs: list[tuple[int, int]], K: int, n: int, what: str) -> WeightDistribution:
-    """sum_i c_i P_j(i;n) scaled by 2^(K-n), for j = 0..n; checked exact
-    and nonnegative entry-wise, and checked to total 2^K."""
-    if not 0 <= K <= n:
-        raise ParameterError(f"dimension K must be in 0..n, got K={K}, n={n}")
+    """sum_i c_i P_j(i;n) scaled by 2^(K-n), for j = 0..n, from one
+    Krawtchouk row per support weight i; checked exact and nonnegative
+    entry-wise, and checked to total 2^K.  K is validated by the caller."""
     shift = n - K
+    cs = [c for _, c in coeffs]
+    rows = [kraw_row(i, n) for i, _ in coeffs]
     pairs = []
-    for j in range(n + 1):
-        col = _cached_column(j, n)
-        s = sum(c * col[i] for i, c in coeffs)
+    for j, column in enumerate(zip(*rows)):
+        s = sum(c * v for c, v in zip(cs, column))
         if s < 0:
             raise ExactnessError(f"{what}: negative entry at weight {j} (inconsistent input)")
         q, r = divmod(s, 1 << shift)
@@ -98,12 +104,7 @@ def _transform(coeffs: list[tuple[int, int]], K: int, n: int, what: str) -> Weig
 
 def macwilliams(B: WeightDistribution, K: int, n: int) -> WeightDistribution:
     """Distribution of the K-dimensional code whose dual has distribution B."""
-    if B.n != n:
-        raise ParameterError(f"dual distribution has length {B.n}, expected {n}")
-    if not 0 <= K <= n:
-        raise ParameterError(f"dimension K must be in 0..n, got K={K}, n={n}")
-    if B.total != 1 << (n - K):
-        raise ParameterError(f"dual distribution sums to {B.total}, expected 2^{n - K}")
+    _check_dual(B, K, n)
     return _transform(list(B.pairs), K, n, "macwilliams")
 
 
@@ -128,12 +129,9 @@ def assmus_mattson(
 ) -> WeightDistribution:
     """Distribution of the coset A + a from the orthogonality profile b
     of a against the dual and the dual's distribution B."""
-    if B.n != n or profile.n != n:
+    if profile.n != n:
         raise ParameterError("profile/distribution length mismatch")
-    if not 0 <= K <= n:
-        raise ParameterError(f"dimension K must be in 0..n, got K={K}, n={n}")
-    if B.total != 1 << (n - K):
-        raise ParameterError(f"dual distribution sums to {B.total}, expected 2^{n - K}")
+    _check_dual(B, K, n)
     for w in set(profile.support) | set(B.support):
         if not 0 <= profile.count(w) <= B.count(w):
             raise ParameterError(f"b[{w}] = {profile.count(w)} exceeds B[{w}] = {B.count(w)}")

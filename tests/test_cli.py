@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,17 @@ def test_kraw_column_formats(capsys):
     assert out == "i,value\n0,4\n1,2\n2,0\n3,-2\n4,-4\n"
     code, out, _ = run(capsys, "kraw", "--n", "8", "--central", "--all")
     assert code == 0 and out == "70 0 -10 0 6 0 -10 0 70\n"
+
+
+def test_kraw_prints_values_past_the_digit_limit(capsys):
+    # C(16384, 8192) has 4930 decimal digits, past Python's default 4300
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "kraw", "--n", "16384", "--central", "--i", "0")
+    assert code == 0 and err == ""
+    assert len(out.strip()) == 4930
+    assert Decimal(out) == comb(16384, 8192)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_kraw_flag_validation(capsys):
@@ -228,6 +241,11 @@ def test_workers_must_be_positive(capsys):
         assert code == 2 and out == "" and "worker count" in err
         code, out, err = run(capsys, "verify", "conjecture", "-k", "1", "-m", "3",
                              "--workers", workers)
+        assert code == 2 and out == "" and "worker count" in err
+        code, out, err = run(capsys, "verify", "oddweight", "-m", "3", "--workers", workers)
+        assert code == 2 and out == "" and "worker count" in err
+        code, out, err = run(capsys, "verify", "theorem5", "-k", "2", "-m", "4",
+                             "--method", "transform", "--workers", workers)
         assert code == 2 and out == "" and "worker count" in err
 
 

@@ -12,6 +12,7 @@ from rmlab.krawtchouk import (
     central_column,
     kraw_column,
     kraw_direct,
+    kraw_row,
     sign_class,
 )
 
@@ -45,6 +46,16 @@ def test_column_equals_direct_exhaustively():
         for j in range(n + 1):
             col = kraw_column(j, n)
             assert col == [kraw_direct(j, i, n) for i in range(n + 1)]
+
+
+def test_row_equals_direct_exhaustively():
+    for n in range(0, 17):
+        for x in range(n + 1):
+            assert list(kraw_row(x, n)) == [kraw_direct(j, x, n) for j in range(n + 1)]
+    with pytest.raises(ParameterError):
+        kraw_row(5, 4)
+    with pytest.raises(ParameterError):
+        kraw_row(0, -1)
 
 
 def test_central_values():
@@ -126,6 +137,7 @@ def test_generating_function_identity():
 def test_column_matches_direct_random(data):
     n, j, i = data
     assert kraw_column(j, n)[i] == kraw_direct(j, i, n)
+    assert kraw_row(i, n)[j] == kraw_direct(j, i, n)
 
 
 def test_endpoint_values():
@@ -134,3 +146,6 @@ def test_endpoint_values():
         for j in range(n + 1):
             assert kraw_direct(j, 0, n) == comb(n, j)
             assert kraw_direct(j, n, n) == (-1) ** j * comb(n, j)
+    for n in (5, 8, 13, 256, 1024):
+        assert list(kraw_row(0, n)) == [comb(n, j) for j in range(n + 1)]
+        assert list(kraw_row(n, n)) == [(-1) ** j * comb(n, j) for j in range(n + 1)]

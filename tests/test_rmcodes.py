@@ -233,6 +233,11 @@ def test_weight_distribution_json():
     assert WeightDistribution.from_json_obj(json.loads(json.dumps(obj))) == d
     with pytest.raises(ParameterError):
         WeightDistribution.from_json_obj({"n": 8, "counts": ["1"]})
+    # counts past Python's default 4300-digit int <-> str limit
+    big = WeightDistribution(2, ((0, 1), (1, 7 ** 6000), (2, 3)))
+    text = json.dumps(big.to_json_obj())
+    assert len(json.loads(text)["counts"][1]) == 5071
+    assert WeightDistribution.from_json_obj(json.loads(text)) == big
 
 
 def test_pivot_positions():

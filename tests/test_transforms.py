@@ -6,6 +6,7 @@ import pytest
 from rmlab import _bitenum
 from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
+from rmlab.krawtchouk import kraw_column
 from rmlab.rmcodes import (
     RMParams,
     WeightDistribution,
@@ -176,6 +177,39 @@ def test_transform_matches_brute_enumeration():
             gap = balanced_gap(B, prof, code.dimension, code.n)
             A = rm_weight_distribution(code)
             assert gap == A.count(code.n // 2) - d.count(code.n // 2)
+
+
+def dense_transform(coeffs: dict[int, int], K: int, n: int) -> WeightDistribution:
+    """2^(K-n) sum_i c_i P_j(i;n) for every j, from the full column matrix
+    of kraw_column: the dense O(n^2) oracle for the row-based transforms."""
+    columns = [kraw_column(j, n) for j in range(n + 1)]
+    dense = []
+    for col in columns:
+        q, r = divmod(sum(c * col[i] for i, c in coeffs.items()), 1 << (n - K))
+        assert r == 0
+        dense.append(q)
+    return WeightDistribution.from_dense(dense)
+
+
+def test_sparse_transforms_match_dense_oracle_at_m8():
+    code = RMParams(6, 8)
+    K, n = code.dimension, code.n
+    B = rm_weight_distribution(dual_params(code))
+    assert B.support == (0, 128, 256)
+    A = macwilliams(B, K, n)
+    assert A == dense_transform(dict(B.pairs), K, n)
+    assert A.total == 1 << K
+
+    rng = random.Random(8)
+    for parity in (0, 1):
+        rep = random_nonmember(rng, code)
+        if rep.bits.bit_count() % 2 != parity:
+            rep = TruthTable(8, rep.bits ^ 1)
+        prof = coset_dual_profile(CosetSpec(code, rep))
+        d = assmus_mattson(prof, B, K, n)
+        coeffs = {w: 2 * prof.count(w) - c for w, c in B.pairs}
+        assert d == dense_transform({w: c for w, c in coeffs.items() if c}, K, n)
+        assert all(w % 2 == parity for w in d.support)
 
 
 def test_balanced_gap_examples():
