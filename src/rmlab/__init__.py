@@ -15,8 +15,6 @@ from .bfcore import (
     monomial_tt,
     tt_from_anf,
     variable_tt,
-    weight,
-    xor,
 )
 from .errors import CapExceededError, ExactnessError, ParameterError, RmlabError
 from .harness import (
@@ -57,7 +55,6 @@ from .rmcodes import (
     mceliece_exponent,
     monomial_basis,
     pivot_positions,
-    rm_dimension,
     rm_iterate,
     rm_membership,
     rm_weight_distribution,

@@ -296,16 +296,6 @@ def linear_tt(omega: PointVector) -> TruthTable:
     return TruthTable(omega.m, bits)
 
 
-def xor(a: TruthTable, b: TruthTable) -> TruthTable:
-    """Pointwise modulo-2 sum of two tables of the same m."""
-    return a ^ b
-
-
-def weight(a: TruthTable) -> int:
-    """Number of ones in the table."""
-    return a.bits.bit_count()
-
-
 def is_balanced(a: TruthTable) -> bool:
     """True iff the table has exactly 2^(m-1) ones."""
     return a.bits.bit_count() == (a.n >> 1)

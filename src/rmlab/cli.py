@@ -246,10 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
     odd.add_argument("-m", type=int, required=True)
     eq = claims.add_parser("equidist", help="cosets of RM(m-2,m) in RM(m-1,m) share one distribution")
     eq.add_argument("-m", type=int, required=True)
+    for sp in (t5, conj, odd, eq):
+        sp.add_argument("--cap", type=int, help="enumeration dimension cap override")
+        if sp in (t5, conj):
+            sp.add_argument("--checkpoint", metavar="PATH", help="resumable census checkpoint log")
     for sp in (t5, conj, rm1, odd, eq):
         sp.add_argument("--workers", type=int, default=1, help="worker processes for censuses")
-        sp.add_argument("--checkpoint", metavar="PATH", help="resumable census checkpoint file")
-        sp.add_argument("--cap", type=int, help="enumeration dimension cap override")
         sp.add_argument("--coset-cap", type=int, help="coset-count cap override")
         sp.add_argument("--output", metavar="PATH", help="write the verdict JSON to a file")
         sp.set_defaults(func=_cmd_verify)

@@ -13,20 +13,23 @@ cosets: censuses of balanced counts over coset families, and verdicts for
                one weight distribution.
 
 Censuses shard deterministically across worker processes and can resume
-from a JSON checkpoint.
+from an append-only, checksummed checkpoint log.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
-import json
 import os
 import random
+import re
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -244,45 +247,54 @@ class CosetCensus:
             fileobj.write(f"{rep_hex},{c}\n")
 
 
-def _coset_counts(counter: _bitenum.SpanCounter, basis: list[int], start: int, stop: int) -> list[int]:
-    """Balanced counts for rep ids start..stop-1."""
-    half = counter.n // 2
-    return [int(counter.weight_histogram(_build_rep(basis, g))[half]) for g in range(start, stop)]
-
-
-def _count_chunk(k: int, m: int, scope_name: str, start: int, stop: int) -> list[int]:
-    """Worker entry point: _coset_counts rebuilt from the parameters."""
-    code = RMParams(k, m)
+def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[int]:
+    """Balanced counts for rep ids start..stop-1 (id 0 is the code itself),
+    from a walker built from the parameters, so it runs in any process."""
+    basis = _rep_basis(code, scope)
     counter = _bitenum.SpanCounter([t.bits for t in monomial_basis(code)], code.n)
-    return _coset_counts(counter, _rep_basis(code, Scope[scope_name]), start, stop)
+    return [int(counter.weight_histogram(_build_rep(basis, g))[code.n // 2]) for g in range(start, stop)]
 
 
-def _load_checkpoint(path: str, code: RMParams, scope: Scope, total: int) -> list[int]:
-    with open(path) as fh:
-        data = json.load(fh)
-    expect = {"kind": "census", "k": code.k, "m": code.m, "scope": scope.name, "total": total}
-    for key, val in expect.items():
-        if data.get(key) != val:
-            raise ParameterError(f"checkpoint {path} was written for different parameters ({key})")
-    counts = [int(c) for c in data["counts"]]
-    if len(counts) > total:
-        raise ParameterError(f"checkpoint {path} holds {len(counts)} entries for {total} cosets")
+# A census log is the header "census <format version 1> <k> <m> <scope>
+# <cosets>", then one line per finished chunk: "<start id> <CRC-32 of the
+# counts text, 8 hex digits> <counts...>".  No id or count of a census that
+# can run has more than 20 digits, which keeps int() under its digit limit.
+_CHUNK_LINE = re.compile(r"(\d{1,20}) ([0-9a-f]{8}) (\d{1,20}(?: \d{1,20})*)", re.ASCII)
+
+
+def _load_checkpoint(path: str, header: str, ids: int, top: int) -> list[int]:
+    """The counts of a census log, each line checked; a last line without
+    its newline is an interrupted write and is cut off so its chunk reruns."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.rfind(b"\n") + 1
+    lines = data[:cut].decode("ascii", "replace").split("\n")[:-1]
+    where = f"checkpoint {path}, line"
+    if not lines or lines[0] + "\n" != header:
+        raise ParameterError(f"{where} 1: not the census log header {header.strip()!r}")
+    counts: list[int] = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        match = _CHUNK_LINE.fullmatch(line)
+        if match is None:
+            raise ParameterError(f"{where} {line_no}: not a chunk line of ids and counts")
+        start, crc, body = match.groups()
+        if int(start) != len(counts):
+            raise ParameterError(f"{where} {line_no}: chunk starts at id {start}, not {len(counts)}")
+        if int(crc, 16) != zlib.crc32(body.encode()):
+            raise ParameterError(f"{where} {line_no}: CRC-32 mismatch")
+        part = [int(c) for c in body.split(" ")]
+        if len(counts) + len(part) > ids or max(part) > top:
+            raise ParameterError(f"{where} {line_no}: counts beyond {ids} ids or above {top}")
+        counts.extend(part)
+    if cut < len(data):
+        os.truncate(path, cut)
     return counts
 
 
-def _save_checkpoint(path: str, code: RMParams, scope: Scope, total: int, counts: list[int]) -> None:
-    data = {
-        "kind": "census",
-        "k": code.k,
-        "m": code.m,
-        "scope": scope.name,
-        "total": total,
-        "counts": counts,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
+def _save_checkpoint(path: str, line: str) -> None:
+    """Append one line to the census log."""
+    with open(path, "a") as fh:
+        fh.write(line)
 
 
 def census_balanced(
@@ -294,38 +306,40 @@ def census_balanced(
     checkpoint: str | None = None,
 ) -> CosetCensus:
     """Balanced-word count of every nontrivial coset in scope, plus the
-    code's own count.  Work is sharded over rep-id ranges; the merge is
-    by id order, so the result is identical for any worker count."""
+    code's own count (rep id 0).  Work is split into rep-id chunks, run in
+    order or by a process pool; the merge is by id order, so the result
+    is identical for any worker count.  A checkpoint log gets one line
+    per finished chunk, and a rerun resumes after its last verified one."""
     require_workers(workers)
     basis = _rep_basis(code, scope)
     _require_coset_cap(len(basis), scope, coset_cap)
-    counter = _code_counter(code, cap, f"balanced census of {code}")
-    total = (1 << len(basis)) - 1
+    require_cap(code.dimension, cap, f"balanced census of {code}")
+    ids = 1 << len(basis)
+    header = f"census 1 {code.k} {code.m} {scope.name} {ids - 1}\n"
 
     counts: list[int] = []
     if checkpoint and os.path.exists(checkpoint):
-        counts = _load_checkpoint(checkpoint, code, scope, total)
+        counts = _load_checkpoint(checkpoint, header, ids, 1 << code.dimension)
+    elif checkpoint:
+        _save_checkpoint(checkpoint, header)
 
-    chunks = [
-        (start, min(start + _CHECKPOINT_CHUNK, total + 1))
-        for start in range(1 + len(counts), total + 1, _CHECKPOINT_CHUNK)
-    ]
-    if workers > 1 and chunks:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            args = [(code.k, code.m, scope.name, a, b) for a, b in chunks]
-            for part in pool.map(_count_chunk, *zip(*args)):
-                counts.extend(part)
-                if checkpoint:
-                    _save_checkpoint(checkpoint, code, scope, total, counts)
-    else:
-        for a, b in chunks:
-            counts.extend(_coset_counts(counter, basis, a, b))
+    starts = range(len(counts), ids, _CHECKPOINT_CHUNK)
+    stops = [min(a + _CHECKPOINT_CHUNK, ids) for a in starts]
+    chunk = partial(_count_chunk, code, scope)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for a, part in zip(starts, (pool.map if pool else map)(chunk, starts, stops)):
+            counts.extend(part)
             if checkpoint:
-                _save_checkpoint(checkpoint, code, scope, total, counts)
+                body = " ".join(map(str, part))
+                _save_checkpoint(checkpoint, f"{a} {zlib.crc32(body.encode()):08x} {body}\n")
 
-    code_count = int(counter.weight_histogram()[code.n // 2])
-    entries = tuple(zip(range(1, total + 1), counts))
-    return CosetCensus(code=code, scope=scope, entries=entries, code_balanced_count=code_count)
+    if scope is Scope.FULL_SPACE and sum(counts) != comb(code.n, code.n // 2):
+        raise ExactnessError(
+            f"balanced counts of {code} and its cosets sum to {sum(counts)}, "
+            f"not C({code.n},{code.n // 2}) = {comb(code.n, code.n // 2)}"
+        )
+    entries = tuple(enumerate(counts))[1:]
+    return CosetCensus(code=code, scope=scope, entries=entries, code_balanced_count=counts[0])
 
 
 def _census_scan(census: CosetCensus) -> tuple[int, TruthTable | None]:
@@ -364,6 +378,8 @@ def verify_theorem_basic(
         code_count = census.code_balanced_count
         max_other, witness = _census_scan(census)
     elif method is Method.TRANSFORM:
+        if checkpoint:
+            raise ParameterError("checkpoints are for the brute census, not the transform method")
         dual = dual_params(code)
         B = rm_weight_distribution(dual, cap)
         K, n = code.dimension, code.n

@@ -84,11 +84,6 @@ class RMParams:
         return f"{{0}}^{self.n}" if self.trivial else f"RM({self.k},{self.m})"
 
 
-def rm_dimension(p: RMParams) -> int:
-    """K = sum_{j=0..k} C(m,j)."""
-    return p.dimension
-
-
 def dual_params(p: RMParams) -> RMParams:
     """The orthogonal code: RM(m-k-1, m) for k <= m-1; the zero code for
     k = m; RM(m,m) for the zero code."""

@@ -15,8 +15,6 @@ from rmlab.bfcore import (
     monomial_tt,
     tt_from_anf,
     variable_tt,
-    weight,
-    xor,
 )
 from rmlab.errors import ParameterError
 
@@ -87,7 +85,7 @@ def test_variable_patterns():
     assert variable_tt(3, 1).to_hex() == "0f"
     assert variable_tt(3, 2).to_hex() == "33"
     assert variable_tt(3, 3).to_hex() == "55"
-    assert weight(variable_tt(5, 2)) == 16
+    assert variable_tt(5, 2).bits.bit_count() == 16
     with pytest.raises(ParameterError):
         variable_tt(3, 4)
 
@@ -165,7 +163,7 @@ def test_linear_tt():
     for idx in range(1, 1 << m):
         omega = PointVector.from_index(m, idx)
         t = linear_tt(omega)
-        assert weight(t) == 1 << (m - 1)
+        assert t.bits.bit_count() == 1 << (m - 1)
         # pointwise: x . omega
         for x in range(1 << m):
             dot = bin(x & idx).count("1") & 1
@@ -176,8 +174,8 @@ def test_linear_tt():
 def test_xor_weight_balance():
     a = variable_tt(3, 1)
     b = variable_tt(3, 2)
-    assert xor(a, b).bits == a.bits ^ b.bits
-    assert weight(a) == 4 and is_balanced(a)
+    assert (a ^ b).bits == a.bits ^ b.bits
+    assert a.bits.bit_count() == 4 and is_balanced(a)
     assert not is_balanced(constant_tt(3, 1))
     with pytest.raises(ParameterError):
-        xor(a, variable_tt(2, 1))
+        a ^ variable_tt(2, 1)

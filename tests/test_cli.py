@@ -257,6 +257,55 @@ def test_census_checkpoint(capsys, tmp_path):
     assert code == 0 and second == first
 
 
+def test_edited_checkpoint_count_is_refused(capsys, tmp_path):
+    path = tmp_path / "ck.json"
+    argv = ("verify", "theorem5", "-k", "1", "-m", "3", "--checkpoint", str(path))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(first)["pass"] is True
+    header, chunk = path.read_text().splitlines(keepends=True)
+    start, crc, code_count, *counts = chunk.split()
+    path.write_text(header + " ".join([start, crc, code_count, "14", *counts[1:]]) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"checkpoint {path}, line 2: CRC-32 mismatch" in err
+
+
+def test_pre_log_json_checkpoint_is_refused(capsys, tmp_path):
+    path = tmp_path / "ck.json"
+    old = {"kind": "census", "k": 1, "m": 3, "scope": "FULL_SPACE", "total": 15, "counts": [0, 0]}
+    path.write_text(json.dumps(old))
+    code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--checkpoint", str(path))
+    assert code == 2 and out == "" and f"checkpoint {path}, line 1: not the census log header" in err
+    assert json.loads(path.read_text()) == old
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "rm1", "-m", "3", "--checkpoint", "P"),
+    ("verify", "oddweight", "-m", "3", "--checkpoint", "P"),
+    ("verify", "equidist", "-m", "3", "--checkpoint", "P"),
+    ("verify", "rm1", "-m", "3", "--cap", "0"),
+])
+def test_claims_refuse_options_they_do_not_use(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "P").exists()
+
+
+def test_transform_theorem_refuses_checkpoint(capsys, tmp_path):
+    path = tmp_path / "P"
+    code, out, err = run(capsys, "verify", "theorem5", "-k", "2", "-m", "4",
+                         "--method", "transform", "--checkpoint", str(path))
+    assert code == 2 and out == "" and "checkpoint" in err
+    assert not path.exists()
+    # --workers stays on every claim
+    for argv in (("oddweight", "-m", "3"), ("equidist", "-m", "3"), ("rm1", "-m", "3"),
+                 ("theorem5", "-k", "2", "-m", "4", "--method", "transform")):
+        code, _, _ = run(capsys, "verify", *argv, "--workers", "1")
+        assert code == 0
+
+
 def test_output_file_and_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -1,13 +1,16 @@
 import io
 import json
 import random
+import re
+import zlib
 from collections import Counter
+from math import comb
 
 import pytest
 
 from rmlab import harness
-from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf, xor
-from rmlab.errors import CapExceededError, ParameterError
+from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
+from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import (
     Method,
     Mode,
@@ -40,7 +43,7 @@ def test_representatives_are_distinct_cosets():
         assert not rm_membership(r, code)
     for i, a in enumerate(reps):
         for b in reps[i + 1 :]:
-            assert not rm_membership(xor(a, b), code)
+            assert not rm_membership(a ^ b, code)
 
 
 def test_full_scope_reps_tile_the_space():
@@ -155,26 +158,106 @@ def test_census_workers_must_be_positive():
             census_balanced(RMParams(1, 3), Scope.FULL_SPACE, workers=workers)
 
 
+def chunk_line(start, body):
+    """A census log chunk line whose CRC-32 matches its counts text."""
+    return f"{start} {zlib.crc32(body.encode()):08x} {body}\n"
+
+
+# balanced counts of RM(1,3) (rep id 0) and its 15 cosets in the full space
+RM13_FULL = [14, 0, 0, 8, 0, 8, 8, 0, 0, 8, 8, 0, 8, 0, 0, 8]
+LOG_HEADER = "census 1 1 3 FULL_SPACE 15\n"
+
+
 def test_census_checkpoint_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", 3)
     code = RMParams(1, 3)
-    path = str(tmp_path / "census.json")
-    fresh = census_balanced(code, Scope.FULL_SPACE, checkpoint=path)
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["kind"] == "census" and data["total"] == 15
-    assert len(data["counts"]) == 15
+    path = tmp_path / "census.log"
+    fresh = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
+    log = path.read_text()
+    lines = log.splitlines(keepends=True)
+    assert lines[0] == LOG_HEADER
+    assert len(lines) == 1 + 6  # 16 rep ids in chunks of 3
+    chunks = [line.rstrip("\n").split(" ", 2) for line in lines[1:]]
+    assert lines[1:] == [chunk_line(start, body) for start, _, body in chunks]
+    assert [int(c) for _, _, body in chunks for c in body.split()] == RM13_FULL
 
-    # truncate to simulate an interrupted run, then resume
-    data["counts"] = data["counts"][:7]
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    resumed = census_balanced(code, Scope.FULL_SPACE, checkpoint=path)
+    # cut the log after its first chunk, as an interrupted run leaves it
+    path.write_text("".join(lines[:2]))
+    resumed = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
     assert resumed == fresh
+    assert path.read_text() == log
 
-    # a finished checkpoint short-circuits the whole computation
-    again = census_balanced(code, Scope.FULL_SPACE, checkpoint=path)
-    assert again == fresh
+
+def test_complete_log_runs_no_chunk(tmp_path, monkeypatch):
+    code = RMParams(1, 3)
+    path = str(tmp_path / "census.log")
+    fresh = census_balanced(code, Scope.FULL_SPACE, checkpoint=path)
+
+    def no_chunk(*args):
+        raise AssertionError(f"a complete log reran chunk {args}")
+
+    monkeypatch.setattr(harness, "_count_chunk", no_chunk)
+    for workers in (1, 2):
+        assert census_balanced(code, Scope.FULL_SPACE, workers, checkpoint=path) == fresh
+
+
+def test_torn_last_line_is_recomputed(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", 3)
+    code = RMParams(1, 3)
+    path = tmp_path / "census.log"
+    fresh = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
+    log = path.read_text()
+    path.write_text(log[: log.rindex("\n", 0, -1) + 6])
+    assert census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path)) == fresh
+    assert path.read_text() == log
+
+
+def test_resume_with_workers_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", 3)
+    code = RMParams(1, 3)
+    path = tmp_path / "census.log"
+    serial = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
+    log = path.read_text()
+    path.write_text("".join(log.splitlines(keepends=True)[:2]))
+    assert census_balanced(code, Scope.FULL_SPACE, workers=2, checkpoint=str(path)) == serial
+    assert path.read_text() == log
+
+
+BAD_LOGS = {
+    "crc": (LOG_HEADER + chunk_line(0, "14 0 0").replace(" 0 0\n", " 0 8\n"), "line 2: CRC"),
+    "gap": (LOG_HEADER + chunk_line(0, "14 0 0") + chunk_line(4, "0 8"), "line 3: chunk starts"),
+    "non-numeric": (LOG_HEADER + chunk_line(0, "14 x 0"), "line 2: not a chunk line"),
+    "above-2^K": (LOG_HEADER + chunk_line(0, "14 17 0"), "line 2: counts beyond"),
+    "too-many": (LOG_HEADER + chunk_line(0, " ".join(["0"] * 17)), "line 2: counts beyond"),
+    "json": (
+        json.dumps({"kind": "census", "k": 1, "m": 3, "scope": "FULL_SPACE",
+                    "total": 15, "counts": RM13_FULL[1:4]}),
+        "line 1: not the census log header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOGS))
+def test_bad_log_is_refused(tmp_path, case):
+    text, why = BAD_LOGS[case]
+    path = tmp_path / "census.log"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=re.escape(f"{path}, {why}")):
+        census_balanced(RMParams(1, 3), Scope.FULL_SPACE, checkpoint=str(path))
+    assert path.read_text() == text
+
+
+def test_full_scope_census_sums_to_the_balanced_words(tmp_path):
+    code = RMParams(1, 3)
+    assert sum(RM13_FULL) == comb(8, 4)
+    census = census_balanced(code, Scope.FULL_SPACE)
+    assert census.code_balanced_count + sum(c for _, c in census.entries) == comb(8, 4)
+    # an edited count under a recomputed CRC passes every log check
+    edited = RM13_FULL[:3] + [0] + RM13_FULL[4:]
+    path = tmp_path / "census.log"
+    path.write_text(LOG_HEADER + chunk_line(0, " ".join(map(str, edited))))
+    with pytest.raises(ExactnessError, match=r"sum to 62, not C\(8,4\) = 70"):
+        census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
 
 
 def test_census_checkpoint_mismatch(tmp_path):
@@ -185,6 +268,9 @@ def test_census_checkpoint_mismatch(tmp_path):
         census_balanced(RMParams(2, 3), Scope.FULL_SPACE, checkpoint=path)
     with pytest.raises(ParameterError):
         census_balanced(code, Scope.WITHIN_NEXT_ORDER, checkpoint=path)
+    # 64 ids with counts up to 32: only the header tells this log apart
+    with pytest.raises(ParameterError, match="line 1: not the census log header"):
+        census_balanced(RMParams(1, 4), Scope.WITHIN_NEXT_ORDER, checkpoint=path)
 
 
 def test_verify_theorem_basic_brute():

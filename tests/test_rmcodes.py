@@ -20,7 +20,6 @@ from rmlab.rmcodes import (
     mceliece_exponent,
     monomial_basis,
     pivot_positions,
-    rm_dimension,
     rm_iterate,
     rm_membership,
     rm_weight_distribution,
@@ -47,11 +46,11 @@ def naive_distribution(k: int, m: int) -> dict[int, int]:
 
 
 def test_dimensions():
-    assert rm_dimension(RMParams(1, 3)) == 4
-    assert rm_dimension(RMParams(2, 4)) == 11
+    assert RMParams(1, 3).dimension == 4
+    assert RMParams(2, 4).dimension == 11
     for m in range(1, 8):
-        assert rm_dimension(RMParams(m, m)) == 1 << m
-    assert rm_dimension(RMParams.zero_code(5)) == 0
+        assert RMParams(m, m).dimension == 1 << m
+    assert RMParams.zero_code(5).dimension == 0
 
 
 def test_params_validation():
@@ -75,7 +74,7 @@ def test_duality():
         for k in range(m):
             p = RMParams(k, m)
             assert dual_params(dual_params(p)) == p
-            assert rm_dimension(p) + rm_dimension(dual_params(p)) == 1 << m
+            assert p.dimension + dual_params(p).dimension == 1 << m
 
 
 def test_monomial_basis_graded_lex():
@@ -126,7 +125,7 @@ def test_distribution_sum_and_symmetry():
         for k in range(m + 1):
             p = RMParams(k, m)
             dist = rm_weight_distribution(p)
-            assert dist.total == 1 << rm_dimension(p)
+            assert dist.total == 1 << p.dimension
             dense = dist.to_dense()
             assert dense == dense[::-1]  # the all-one word is a codeword
 
@@ -243,7 +242,7 @@ def test_weight_distribution_json():
 def test_pivot_positions():
     p = RMParams(1, 3)
     pivots = pivot_positions(p)
-    assert len(pivots) == rm_dimension(p)
+    assert len(pivots) == p.dimension
     assert len(set(pivots)) == len(pivots)
     # pivots of the full-space code are all coordinates
     assert pivot_positions(RMParams(3, 3)) == tuple(range(8))
@@ -252,4 +251,4 @@ def test_pivot_positions():
 def test_dimension_formula():
     for m in range(1, 10):
         for k in range(m + 1):
-            assert rm_dimension(RMParams(k, m)) == sum(comb(m, j) for j in range(k + 1))
+            assert RMParams(k, m).dimension == sum(comb(m, j) for j in range(k + 1))

@@ -13,8 +13,6 @@ from rmlab.bfcore import (
     is_balanced,
     linear_tt,
     tt_from_anf,
-    weight,
-    xor,
 )
 from rmlab.errors import ParameterError
 from rmlab.rmcodes import RMParams, rm_membership
@@ -100,7 +98,7 @@ def test_dual_form_exhaustive_m_le_4():
             f = TruthTable(m, bits)
             s = wht(f)
             for w in range(n):
-                assert s.values[w] == n - 2 * weight(xor(f, lins[w]))
+                assert s.values[w] == n - 2 * (f ^ lins[w]).bits.bit_count()
     m, n = 4, 16
     lin_bits = [linear_tt(PointVector.from_index(m, w)).bits for w in range(n)]
     tables = list(range(1 << n))
