@@ -2,8 +2,10 @@
 """Run every claim verification at its standard parameters and print one
 verdict JSON per line.  Exits 1 if any claim fails.
 
-The heavyweight strict-maximum run over all 65535 cosets of RM(2,5) and
-the m=5 equidistribution sweep are included only with --slow.
+The strict maximum runs by the dual-side transform wherever brute
+enumeration is slow or out of reach (m = 6); the brute run over all
+65535 cosets of RM(2,5) and the m=5 equidistribution sweep are included
+only with --slow.
 """
 
 import argparse
@@ -24,8 +26,8 @@ def planned_runs(slow: bool, workers: int):
     yield lambda: verify_theorem_basic(1, 3, workers=workers)
     yield lambda: verify_theorem_basic(2, 4, workers=workers)
     yield lambda: verify_theorem_basic(3, 4, workers=workers)
-    yield lambda: verify_theorem_basic(3, 5, method=Method.TRANSFORM)
-    yield lambda: verify_theorem_basic(4, 5, method=Method.TRANSFORM)
+    for k, m in [(3, 5), (4, 5), (2, 5), (4, 6), (5, 6)]:
+        yield lambda k=k, m=m: verify_theorem_basic(k, m, method=Method.TRANSFORM)
     if slow:
         yield lambda: verify_theorem_basic(2, 5, workers=workers)
     for k, m in [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)]:

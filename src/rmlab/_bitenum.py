@@ -77,7 +77,9 @@ def _gray_flip_sequence(hi: int) -> Iterator[int]:
 
 class SpanCounter:
     """The span of any number of basis tables, for repeated weight
-    queries against varying coset offsets and orthogonality masks.
+    queries against varying coset offsets.  Each basis table may carry a
+    key of key_bits bits; a span word's key is the XOR of the keys of
+    the tables it combines, kept as one extra uint64 column.
 
     The low _BLOCK_LOG2 basis tables are materialized once as one block.
     Each query XORs its offset into that block in place and folds the
@@ -86,39 +88,43 @@ class SpanCounter:
     it applied, so the block is the same for every query.
     """
 
-    def __init__(self, basis: Sequence[int], n: int):
+    def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
         self.n = n
+        self._key_bits = key_bits
         words = _to_words(list(basis), n)
+        self._nwords = words.shape[1]
+        if key_bits:
+            words = np.column_stack((words, np.array(keys, dtype=np.uint64)))
         lo = min(len(basis), _BLOCK_LOG2)
         self._block = _span_block(words, lo)
         self._high = words[lo:]
 
-    def weight_histogram(self, offset: int = 0, mask: int = 0) -> np.ndarray:
-        """Weight histogram (length n+1) of {offset XOR span(basis)},
-        counting only the words with even intersection with mask (that
-        is, orthogonal to it as F_2 vectors) when mask is nonzero."""
+    def weight_histogram(self, offset: int = 0) -> np.ndarray:
+        """Weight histogram (length n+1) of {offset XOR span(basis)}; with
+        keys, one such row for each key value s (2^key_bits rows), counting
+        the words offset XOR w for the span words w whose key is s."""
         block = self._block
-        maskw = _to_words([mask], self.n)[0] if mask else None
-        applied = _to_words([offset], self.n)[0]
+        applied = np.zeros(block.shape[1], dtype=np.uint64)
+        applied[: self._nwords] = _to_words([offset], self.n)[0]
         if offset:
             block ^= applied
         try:
-            hist = self._tally(block, maskw)
+            hist = self._tally(block)
             for j in _gray_flip_sequence(len(self._high)):
                 block ^= self._high[j]
                 applied ^= self._high[j]
-                hist += self._tally(block, maskw)
+                hist += self._tally(block)
         finally:
             # a full walk ends with the offset and the top high table applied
             if applied.any():
                 block ^= applied
-        return hist
+        return hist.reshape(-1, self.n + 1) if self._key_bits else hist
 
-    def _tally(self, block: np.ndarray, maskw: np.ndarray | None) -> np.ndarray:
-        weights = _popcount_rows(block)
-        if maskw is not None:
-            weights = weights[_popcount_rows(block & maskw) % 2 == 0]
-        return np.bincount(weights, minlength=self.n + 1)
+    def _tally(self, block: np.ndarray) -> np.ndarray:
+        weights = _popcount_rows(block[:, : self._nwords])
+        if self._key_bits:
+            weights = block[:, -1].astype(np.intp) * (self.n + 1) + weights
+        return np.bincount(weights, minlength=(self.n + 1) << self._key_bits)
 
 
 def iter_span(basis: Sequence[int], n: int, offset: int = 0) -> Iterator[int]:

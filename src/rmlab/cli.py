@@ -3,8 +3,10 @@ distributions, Walsh spectra, Krawtchouk values, claim verification and
 coset censuses.
 
 Exit codes: 0 success / claim passed, 1 claim failed, 2 invalid
-parameters, 3 enumeration cap exceeded.  RMLAB_CAP_DIM overrides the
-default enumeration-dimension cap; --cap overrides both.
+parameters, 3 enumeration cap exceeded, 4 exactness check failed (an
+exact identity or an asserted integer bound did not hold, so no result
+is printed).  RMLAB_CAP_DIM overrides the default enumeration-dimension
+cap; --cap overrides both.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 
 from .bfcore import AnfMonomialSet, TruthTable, tt_from_anf
-from .errors import CapExceededError, ParameterError
+from .errors import CapExceededError, ExactnessError, ParameterError
 from .harness import (
     Method,
     Scope,
@@ -281,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"rmlab: cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except ExactnessError as exc:
+        print(f"rmlab: exactness check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

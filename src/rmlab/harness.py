@@ -12,8 +12,9 @@ cosets: censuses of balanced counts over coset families, and verdicts for
   equidist   - all nontrivial cosets of RM(m-2,m) inside RM(m-1,m) share
                one weight distribution.
 
-Censuses shard deterministically across worker processes and can resume
-from an append-only, checksummed checkpoint log.
+Brute censuses shard deterministically across worker processes and can
+resume from an append-only, checksummed checkpoint log; theorem5's
+transform method reads one walk of the dual code (see _dual_census).
 """
 
 from __future__ import annotations
@@ -47,15 +48,9 @@ from .rmcodes import (
     rm_membership,
     rm_weight_distribution,
 )
-from .spectral import rm1_coset_balanced_count, wht_many
-from .transforms import (
-    CosetSpec,
-    assmus_mattson,
-    balanced_gap,
-    coset_dual_profile,
-    hamming_closed_forms,
-    macwilliams,
-)
+from .krawtchouk import kraw_column
+from .spectral import _fwht_rows, rm1_coset_balanced_count, wht_many
+from .transforms import CosetSpec, assmus_mattson, coset_dual_profile, hamming_closed_forms, macwilliams
 
 
 class Scope(enum.Enum):
@@ -235,11 +230,7 @@ class CosetCensus:
         """(first id attaining the max count, that count)."""
         if not self.entries:
             raise ParameterError("census has no nontrivial cosets")
-        best_id, best = self.entries[0]
-        for rep_id, c in self.entries[1:]:
-            if c > best:
-                best_id, best = rep_id, c
-        return best_id, best
+        return max(self.entries, key=lambda entry: entry[1])
 
     def to_csv(self, fileobj) -> None:
         fileobj.write("rep_hex,balanced_count\n")
@@ -333,13 +324,56 @@ def census_balanced(
                 body = " ".join(map(str, part))
                 _save_checkpoint(checkpoint, f"{a} {zlib.crc32(body.encode()):08x} {body}\n")
 
-    if scope is Scope.FULL_SPACE and sum(counts) != comb(code.n, code.n // 2):
+    return _checked_census(code, scope, counts, cap)
+
+
+def _checked_census(code: RMParams, scope: Scope, counts: list[int], cap: int | None) -> CosetCensus:
+    """The census of per-id counts (id 0 is the code itself), checked to
+    sum to the balanced words of the space its cosets tile: the full
+    space, or RM(k+1,m), counted on whichever of it and its dual is smaller."""
+    n = code.n
+    total, what = comb(n, n // 2), f"C({n},{n // 2})"
+    if scope is Scope.WITHIN_NEXT_ORDER:
+        outer = RMParams(code.k + 1, code.m)
+        small = min(outer, dual_params(outer), key=lambda p: p.dimension)
+        dist = rm_weight_distribution(small, cap)
+        total = (dist if small == outer else macwilliams(dist, outer.dimension, n))[n // 2]
+        what = f"the balanced count of {outer}"
+    if sum(counts) != total:
         raise ExactnessError(
-            f"balanced counts of {code} and its cosets sum to {sum(counts)}, "
-            f"not C({code.n},{code.n // 2}) = {comb(code.n, code.n // 2)}"
+            f"balanced counts of {code} and its cosets sum to {sum(counts)}, not {what} = {total}"
         )
     entries = tuple(enumerate(counts))[1:]
     return CosetCensus(code=code, scope=scope, entries=entries, code_balanced_count=counts[0])
+
+
+def _dual_census(
+    code: RMParams, scope: Scope, cap: int | None = None, coset_cap: int | None = None
+) -> CosetCensus:
+    """The census from one walk of the dual, by MacWilliams for cosets:
+    with s(b) the syndrome of dual word b against the rep basis, rep id g
+    has 2^(K-n) sum_b (-1)^(g.s(b)) K(wt b, n) balanced words, so every
+    count comes from one FWHT over syndromes of the (s, wt) histogram."""
+    basis = _rep_basis(code, scope)
+    r, n, dual = len(basis), code.n, dual_params(code)
+    require_cap(dual.dimension, cap, f"dual census of {code} over {dual}")
+    _require_coset_cap(r, scope, coset_cap)
+    if r > 64:
+        raise ExactnessError(f"{r}-bit syndromes do not fit the 64-bit key column")
+    if dual.dimension > 62:  # every transform entry is at most 2^dim(dual) in size
+        raise ExactnessError(f"int64 transform of a {dual.dimension}-dimensional dual may overflow")
+    require_cap(r + code.m, cap, f"dual census of {code} (2^{r} syndromes x {n + 1} weights)")
+    gens = [t.bits for t in monomial_basis(dual)]
+    keys = [sum(((b & t).bit_count() & 1) << i for i, t in enumerate(basis)) for b in gens]
+    hist = _bitenum.SpanCounter(gens, n, keys, r).weight_histogram().reshape(1 << r, n + 1)
+    col = kraw_column(n // 2, n)
+    weights = [w for w in range(n + 1) if col[w] and hist[:, w].any()]
+    spectra = _fwht_rows(np.ascontiguousarray(hist[:, weights].T))
+    sums = np.array([col[w] for w in weights], dtype=object) @ spectra.astype(object)
+    counts = [divmod(s, 1 << (n - code.dimension)) for s in sums.tolist()]
+    if any(rem or q < 0 for q, rem in counts):
+        raise ExactnessError(f"dual census of {code}: a sum is not 2^(n-K) times a count")
+    return _checked_census(code, scope, [q for q, _ in counts], cap)
 
 
 def _census_scan(census: CosetCensus) -> tuple[int, TruthTable | None]:
@@ -375,33 +409,16 @@ def verify_theorem_basic(
 
     if method is Method.BRUTE:
         census = census_balanced(code, Scope.FULL_SPACE, workers, cap, coset_cap, checkpoint)
-        code_count = census.code_balanced_count
-        max_other, witness = _census_scan(census)
     elif method is Method.TRANSFORM:
         if checkpoint:
             raise ParameterError("checkpoints are for the brute census, not the transform method")
-        dual = dual_params(code)
-        B = rm_weight_distribution(dual, cap)
-        K, n = code.dimension, code.n
-        code_count = macwilliams(B, K, n)[n // 2]
-
-        def balanced(rep: TruthTable) -> int:
-            profile = coset_dual_profile(CosetSpec(code, rep), cap)
-            d_half = assmus_mattson(profile, B, K, n)[n // 2]
-            if balanced_gap(B, profile, K, n) != code_count - d_half:
-                raise ExactnessError(
-                    f"gap formula disagrees with the transform pair at rep {rep.to_hex()}"
-                )
-            return d_half
-
-        reps = coset_representatives(code, Scope.FULL_SPACE, coset_cap)
-        max_other, witness = _scan(((rep, balanced(rep)) for rep in reps), code_count)
+        census = _dual_census(code, Scope.FULL_SPACE, cap, coset_cap)
     else:
         raise ParameterError("theorem verification supports BRUTE or TRANSFORM")
-
+    max_other, witness = _census_scan(census)
     return _verdict(
-        "theorem5", params, Mode.EXHAUSTIVE, method,
-        max_other < code_count, code_count, max_other, witness, t0,
+        "theorem5", params, Mode.EXHAUSTIVE, method, max_other < census.code_balanced_count,
+        census.code_balanced_count, max_other, witness, t0,
     )
 
 
@@ -568,8 +585,7 @@ def coset_weight_distribution(
         hist = counter.weight_histogram(rep.bits)
         return WeightDistribution.from_dense(hist.tolist())
     if method is Method.TRANSFORM:
-        dual = dual_params(code)
-        B = rm_weight_distribution(dual, cap)
+        B = rm_weight_distribution(dual_params(code), cap)
         profile = coset_dual_profile(spec, cap)
         return assmus_mattson(profile, B, code.dimension, code.n)
     raise ParameterError("coset distributions support BRUTE or TRANSFORM")

@@ -3,10 +3,10 @@
 P_k(x; n) = sum_j (-1)^j C(x, j) C(n-x, k-j), evaluated at integer
 arguments 0 <= x <= n, always in exact integer arithmetic: a column
 (fixed k, every x) by the recurrence in x, a row (fixed x, every k) by
-the recurrence in k.  The central value K(i, n) = P_{n/2}(i; n) (n even)
-drives the balanced-weight entry of every coset weight distribution, and
-its sign depends only on i mod 4: zero for odd i, negative for
-i = 2 (mod 4), positive for i = 0 (mod 4).
+the recurrence in k.  The central value K(i, n) = P_{n/2}(i; n) (n even),
+the column of degree n/2, drives the balanced-weight entry of every coset
+weight distribution, and its sign depends only on i mod 4: zero for odd
+i, negative for i = 2 (mod 4), positive for i = 0 (mod 4).
 """
 
 from __future__ import annotations
@@ -104,35 +104,17 @@ def kraw_row(x: int, n: int) -> tuple[int, ...]:
 
 def central_K(i: int, n: int) -> int:
     """K(i, n) = P_{n/2}(i; n) for even n."""
-    if n <= 0 or n % 2:
-        raise ParameterError(f"central value needs even n >= 2, got {n}")
+    col = central_column(n)
     if not 0 <= i <= n:
         raise ParameterError(f"argument i must be in 0..n, got i={i}, n={n}")
-    return _central_column_cached(n)[i]
+    return col[i]
 
 
 def central_column(n: int) -> list[int]:
-    """[K(i, n) for i in 0..n], n even.  At k = n/2 the recurrence loses
-    its middle term ((n - 2k) = 0) and splits over parities:
-    (n - i) K(i+1) = -i K(i-1), with K(0) = C(n, n/2) and K(1) = 0."""
+    """[K(i, n) for i in 0..n], n even: the column of degree n/2."""
     if n <= 0 or n % 2:
         raise ParameterError(f"central column needs even n >= 2, got {n}")
-    return list(_central_column_cached(n))
-
-
-@lru_cache(maxsize=64)
-def _central_column_cached(n: int) -> tuple[int, ...]:
-    col = [0] * (n + 1)
-    col[0] = comb(n, n // 2)
-    for i in range(1, n):
-        num = -i * col[i - 1]
-        q, r = divmod(num, n - i)
-        if r:
-            raise ExactnessError(
-                f"inexact central recurrence at i={i}, n={n}: {num} / {n - i}"
-            )
-        col[i + 1] = q
-    return tuple(col)
+    return kraw_column(n // 2, n)
 
 
 class SignClass(enum.Enum):

@@ -13,7 +13,9 @@ Both are evaluated purely in exact integers over the sparse supports,
 from one Krawtchouk row (P_j(i;n) for j = 0..n, by the recurrence in the
 degree) per support weight i, so a transform costs O(n |support|);
 every division by 2^(n-K) is checked exact and any remainder (or a
-negative entry) is reported as an inconsistency, never rounded.
+negative entry) is reported as an inconsistency, never rounded.  The
+profile is the 1-bit-key case of harness's dual census, which keys each
+dual word by its syndrome against a whole rep basis.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ def coset_dual_profile(spec: CosetSpec, cap: int | None = None) -> CosetDualProf
     dual = dual_params(spec.code)
     require_cap(dual.dimension, cap, f"orthogonality profile over the dual {dual}")
     basis = [t.bits for t in monomial_basis(dual)]
-    hist = _bitenum.SpanCounter(basis, spec.code.n).weight_histogram(mask=spec.rep.bits)
-    profile = CosetDualProfile.from_dense(hist.tolist())
+    keys = [(b & spec.rep.bits).bit_count() & 1 for b in basis]
+    hist = _bitenum.SpanCounter(basis, spec.code.n, keys, 1).weight_histogram()
+    profile = CosetDualProfile.from_dense(hist[0].tolist())
     expected = 1 << (dual.dimension - 1)
     if profile.total != expected:
         raise ExactnessError(

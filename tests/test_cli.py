@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from decimal import Decimal
 from math import comb
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import rmlab
 from rmlab import cli
 from rmlab.bfcore import TruthTable
+from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import Method, Mode, Verdict
 
 if sys.version_info >= (3, 11):
@@ -203,6 +205,47 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 1
     obj = json.loads(out)
     assert obj["pass"] is False and obj["witness_hex"] == "03"
+
+
+@pytest.mark.parametrize("error,code", [
+    (ParameterError, 2), (CapExceededError, 3), (ExactnessError, 4),
+])
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("made to fail")
+
+    monkeypatch.setattr(cli, "census_balanced", fail)
+    got, out, err = run(capsys, "census", "-k", "1", "-m", "3")
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and err.endswith(": made to fail\n")
+
+
+def write_edited_log(path, scope, counts):
+    """A census log of RM(1,3) whose only chunk line holds counts under a
+    recomputed CRC, so that every check of the log itself passes."""
+    body = " ".join(map(str, counts))
+    cosets = {"FULL_SPACE": 15, "WITHIN_NEXT_ORDER": 7}[scope]
+    path.write_text(f"census 1 1 3 {scope} {cosets}\n0 {zlib.crc32(body.encode()):08x} {body}\n")
+
+
+def test_exactness_error_exits_4_without_traceback(capsys, tmp_path):
+    path = tmp_path / "f.log"
+    # RM(1,3)'s full-space counts with one 8 zeroed
+    write_edited_log(path, "FULL_SPACE", [14, 0, 0, 0, 0, 8, 8, 0, 0, 8, 8, 0, 8, 0, 0, 8])
+    code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--checkpoint", str(path))
+    assert code == 4 and out == ""
+    assert err == ("rmlab: exactness check failed: balanced counts of RM(1,3) and its cosets "
+                   "sum to 62, not C(8,4) = 70\n")
+
+
+def test_edited_next_order_log_is_refused(capsys, tmp_path):
+    path = tmp_path / "n.log"
+    write_edited_log(path, "WITHIN_NEXT_ORDER", [14, 8, 8, 16, 8, 8, 8, 8])
+    code, out, err = run(capsys, "verify", "conjecture", "-k", "1", "-m", "3",
+                         "--checkpoint", str(path))
+    assert code == 4 and out == ""
+    assert err == ("rmlab: exactness check failed: balanced counts of RM(1,3) and its cosets "
+                   "sum to 78, not the balanced count of RM(2,3) = 70\n")
 
 
 def test_census_csv_golden(capsys):

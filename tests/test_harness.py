@@ -260,6 +260,61 @@ def test_full_scope_census_sums_to_the_balanced_words(tmp_path):
         census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
 
 
+def test_next_order_census_sums_to_the_next_code_balanced_words(tmp_path):
+    code = RMParams(1, 3)
+    census = census_balanced(code, Scope.WITHIN_NEXT_ORDER)
+    assert census.code_balanced_count + sum(c for _, c in census.entries) == comb(8, 4)
+    # the cosets of RM(1,3) in RM(2,3) tile it; one count raised to 16
+    path = tmp_path / "census.log"
+    path.write_text("census 1 1 3 WITHIN_NEXT_ORDER 7\n" + chunk_line(0, "14 8 8 16 8 8 8 8"))
+    with pytest.raises(ExactnessError, match=r"sum to 78, not the balanced count of RM\(2,3\) = 70"):
+        census_balanced(code, Scope.WITHIN_NEXT_ORDER, checkpoint=str(path))
+
+
+def brute_census_pairs():
+    """(k, m, scope) for m <= 5 whose brute census runs within the default
+    caps and walks at most 2^26 words (under a second each), and whose
+    dual is within the enumeration cap."""
+    for m in range(1, 6):
+        for k in range(m + 1):
+            for scope in Scope:
+                code = RMParams(k, m)
+                if scope is Scope.WITHIN_NEXT_ORDER and k == m:
+                    continue
+                r = len(harness._rep_basis(code, scope))
+                if r <= 20 and r + code.dimension <= 26 and code.n - code.dimension <= 26:
+                    yield k, m, scope
+
+
+@pytest.mark.parametrize("k,m,scope", list(brute_census_pairs()))
+def test_dual_census_equals_brute_census(k, m, scope):
+    code = RMParams(k, m)
+    assert harness._dual_census(code, scope) == census_balanced(code, scope)
+
+
+def test_dual_census_asserts_its_integer_bounds():
+    # 126 syndrome bits: more than the 64-bit key column holds
+    with pytest.raises(ExactnessError, match="126-bit syndromes"):
+        harness._dual_census(RMParams(3, 9), Scope.WITHIN_NEXT_ORDER, cap=1000, coset_cap=1 << 200)
+    # 64 syndrome bits fit, but transform entries of a 64-dimensional dual may not fit int64
+    with pytest.raises(ExactnessError, match="64-dimensional dual"):
+        harness._dual_census(RMParams(3, 7), Scope.FULL_SPACE, cap=1000, coset_cap=1 << 64)
+    # under the default caps the dual walk and the histogram are capped first
+    with pytest.raises(CapExceededError):
+        harness._dual_census(RMParams(3, 7), Scope.FULL_SPACE, coset_cap=1 << 64)
+    with pytest.raises(CapExceededError, match=r"2\^9 syndromes x 257 weights"):
+        harness._dual_census(RMParams(6, 8), Scope.FULL_SPACE, cap=16)
+
+
+def test_dual_census_checks_every_division(monkeypatch):
+    # a central column off by one at weight 0 adds 1 to every sum, which
+    # floor division would hide
+    column = harness.kraw_column
+    monkeypatch.setattr(harness, "kraw_column", lambda j, n: [column(j, n)[0] + 1] + column(j, n)[1:])
+    with pytest.raises(ExactnessError, match=r"not 2\^\(n-K\) times a count"):
+        harness._dual_census(RMParams(2, 4), Scope.FULL_SPACE)
+
+
 def test_census_checkpoint_mismatch(tmp_path):
     code = RMParams(1, 3)
     path = str(tmp_path / "census.json")
@@ -288,6 +343,8 @@ def test_verify_theorem_basic_transform():
     v = verify_theorem_basic(2, 4, method=Method.TRANSFORM)
     assert v.passed and (v.code_count, v.max_other) == (870, 800)
     assert v.method is Method.TRANSFORM
+    v = verify_theorem_basic(2, 5, method=Method.TRANSFORM)
+    assert v.passed and (v.code_count, v.max_other) == (36518, 18848)
     v = verify_theorem_basic(3, 5, method=Method.TRANSFORM)
     assert v.passed and (v.code_count, v.max_other) == (18796230, 18783360)
     v = verify_theorem_basic(4, 5, method=Method.TRANSFORM)
