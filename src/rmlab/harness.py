@@ -13,8 +13,10 @@ cosets: censuses of balanced counts over coset families, and verdicts for
                one weight distribution.
 
 Brute censuses shard deterministically across worker processes and can
-resume from an append-only, checksummed checkpoint log; theorem5's
-transform method reads one walk of the dual code (see _dual_census).
+resume from an append-only, checksummed checkpoint log.  theorem5's
+transform method, oddweight, equidist and the transform coset
+distribution read every coset's distribution from one walk of the dual
+code (see _dual_table).
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import _bitenum
+from . import _bitenum, transforms
 from .bfcore import TruthTable, monomial_tt
 from .errors import CapExceededError, ExactnessError, ParameterError
 from .rmcodes import (
@@ -48,9 +50,8 @@ from .rmcodes import (
     rm_membership,
     rm_weight_distribution,
 )
-from .krawtchouk import kraw_column
 from .spectral import _fwht_rows, rm1_coset_balanced_count, wht_many
-from .transforms import CosetSpec, assmus_mattson, coset_dual_profile, hamming_closed_forms, macwilliams
+from .transforms import CosetSpec, hamming_closed_forms, macwilliams
 
 
 class Scope(enum.Enum):
@@ -166,12 +167,15 @@ def _build_rep(basis: list[int], rep_id: int) -> int:
     return bits
 
 
-def _require_coset_cap(r: int, scope: Scope, override: int | None) -> None:
+def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> list[int]:
+    """The rep basis, once its cosets are counted against the coset cap."""
+    basis = _rep_basis(code, scope)
     limit = DEFAULT_COSET_CAPS[scope] if override is None else override
-    if (1 << r) > limit:
+    if (1 << len(basis)) > limit:
         raise CapExceededError(
-            f"{1 << r} cosets in scope {scope.name} exceed the coset cap {limit}"
+            f"{1 << len(basis)} cosets in scope {scope.name} exceed the coset cap {limit}"
         )
+    return basis
 
 
 def coset_representatives(
@@ -181,8 +185,7 @@ def coset_representatives(
     non-pivot coordinates (FULL_SPACE) or nonzero combinations of the
     degree-(k+1) monomials (WITHIN_NEXT_ORDER), in counting order of the
     combination index."""
-    basis = _rep_basis(code, scope)
-    _require_coset_cap(len(basis), scope, coset_cap)
+    basis = _capped_rep_basis(code, scope, coset_cap)
     for g in range(1, 1 << len(basis)):
         yield TruthTable(code.m, _build_rep(basis, g))
 
@@ -302,8 +305,7 @@ def census_balanced(
     is identical for any worker count.  A checkpoint log gets one line
     per finished chunk, and a rerun resumes after its last verified one."""
     require_workers(workers)
-    basis = _rep_basis(code, scope)
-    _require_coset_cap(len(basis), scope, coset_cap)
+    basis = _capped_rep_basis(code, scope, coset_cap)
     require_cap(code.dimension, cap, f"balanced census of {code}")
     ids = 1 << len(basis)
     header = f"census 1 {code.k} {code.m} {scope.name} {ids - 1}\n"
@@ -347,33 +349,45 @@ def _checked_census(code: RMParams, scope: Scope, counts: list[int], cap: int | 
     return CosetCensus(code=code, scope=scope, entries=entries, code_balanced_count=counts[0])
 
 
-def _dual_census(
-    code: RMParams, scope: Scope, cap: int | None = None, coset_cap: int | None = None
-) -> CosetCensus:
-    """The census from one walk of the dual, by MacWilliams for cosets:
-    with s(b) the syndrome of dual word b against the rep basis, rep id g
-    has 2^(K-n) sum_b (-1)^(g.s(b)) K(wt b, n) balanced words, so every
-    count comes from one FWHT over syndromes of the (s, wt) histogram."""
-    basis = _rep_basis(code, scope)
+def _dual_table(
+    code: RMParams, basis: list[int], cap: int | None = None
+) -> tuple[list[int], Callable[[int], WeightDistribution]]:
+    """Every coset distribution of code + rep_g (rep_g the XOR of the basis
+    tables that id g selects; id 0 is the code) from one walk of the dual:
+    with s(b) the syndrome of dual word b against the basis, one FWHT over
+    s of the (s, wt) histogram gives F_g(w) = sum_{wt b = w} (-1)^(g.s(b)),
+    and A_g(j) = 2^(K-n) sum_w F_g(w) P_j(w;n) (MacWilliams for cosets).
+    Returns each id's distinct column of F and a cached contraction."""
     r, n, dual = len(basis), code.n, dual_params(code)
-    require_cap(dual.dimension, cap, f"dual census of {code} over {dual}")
-    _require_coset_cap(r, scope, coset_cap)
+    require_cap(dual.dimension, cap, f"dual walk of {code} over {dual}")
     if r > 64:
         raise ExactnessError(f"{r}-bit syndromes do not fit the 64-bit key column")
-    if dual.dimension > 62:  # every transform entry is at most 2^dim(dual) in size
+    if dual.dimension > 62:  # every F_g(w) is at most 2^dim(dual) in size
         raise ExactnessError(f"int64 transform of a {dual.dimension}-dimensional dual may overflow")
-    require_cap(r + code.m, cap, f"dual census of {code} (2^{r} syndromes x {n + 1} weights)")
+    require_cap(r + code.m, cap, f"dual walk of {code} (2^{r} syndromes x {n + 1} weights)")
     gens = [t.bits for t in monomial_basis(dual)]
     keys = [sum(((b & t).bit_count() & 1) << i for i, t in enumerate(basis)) for b in gens]
     hist = _bitenum.SpanCounter(gens, n, keys, r).weight_histogram().reshape(1 << r, n + 1)
-    col = kraw_column(n // 2, n)
-    weights = [w for w in range(n + 1) if col[w] and hist[:, w].any()]
+    weights = np.flatnonzero(hist.any(axis=0)).tolist()
     spectra = _fwht_rows(np.ascontiguousarray(hist[:, weights].T))
-    sums = np.array([col[w] for w in weights], dtype=object) @ spectra.astype(object)
-    counts = [divmod(s, 1 << (n - code.dimension)) for s in sums.tolist()]
-    if any(rem or q < 0 for q, rem in counts):
-        raise ExactnessError(f"dual census of {code}: a sum is not 2^(n-K) times a count")
-    return _checked_census(code, scope, [q for q, _ in counts], cap)
+    columns, ids = np.unique(spectra.T, axis=0, return_inverse=True)
+
+    @lru_cache(maxsize=None)
+    def distribution(i: int) -> WeightDistribution:
+        coeffs = [(w, c) for w, c in zip(weights, columns[i].tolist()) if c]
+        return transforms._transform(coeffs, code.dimension, n, f"dual table of {code}")
+
+    return ids.reshape(-1).tolist(), distribution
+
+
+def _dual_census(
+    code: RMParams, scope: Scope, cap: int | None = None, coset_cap: int | None = None
+) -> CosetCensus:
+    """The census read from the dual table, one balanced count per distinct column."""
+    basis = _capped_rep_basis(code, scope, coset_cap)
+    ids, distribution = _dual_table(code, basis, cap)
+    central = [distribution(i)[code.n // 2] for i in range(max(ids) + 1)]
+    return _checked_census(code, scope, [central[i] for i in ids], cap)
 
 
 def _census_scan(census: CosetCensus) -> tuple[int, TruthTable | None]:
@@ -511,26 +525,20 @@ def verify_rm1_proposition(
 def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | None = None) -> Verdict:
     """Cosets of RM(m-2,m) with odd-weight representatives (those outside
     RM(m-1,m)) contain no balanced words; in fact every word weight there
-    is odd, which the enumeration re-checks."""
+    is odd, which the dual table re-checks."""
     t0 = time.monotonic()
     if not 2 <= m <= 5:
         raise ParameterError(f"odd-weight coset check supports 2 <= m <= 5, got {m}")
     code = RMParams(m - 2, m)
-    counter = _code_counter(code, cap, f"odd-weight coset check of {code}")
+    basis = _capped_rep_basis(code, Scope.FULL_SPACE, coset_cap)
+    ids, distribution = _dual_table(code, basis, cap)
     n = code.n
-    code_count = int(counter.weight_histogram()[n // 2])
-    max_other = 0
-    witness = None
-    for rep in coset_representatives(code, Scope.FULL_SPACE, coset_cap):
-        if rep.bits.bit_count() % 2 == 0:
-            continue
-        hist = counter.weight_histogram(rep.bits)
-        balanced = int(hist[n // 2])
-        if balanced > max_other:
-            max_other = balanced
-        even_words = int(hist[0::2].sum())
-        if witness is None and (balanced > 0 or even_words > 0):
-            witness = rep
+    code_count = distribution(ids[0])[n // 2]
+    odd = [g for g in range(1, len(ids)) if _build_rep(basis, g).bit_count() % 2]
+    max_other = max((distribution(ids[g])[n // 2] for g in odd), default=0)
+    # a balanced word has the even weight n/2, so one even weight is enough
+    bad = next((g for g in odd if any(w % 2 == 0 for w in distribution(ids[g]).support)), None)
+    witness = None if bad is None else TruthTable(m, _build_rep(basis, bad))
     return _verdict(
         "oddweight", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
         witness is None, code_count, max_other, witness, t0,
@@ -546,22 +554,14 @@ def verify_hamming_coset_equidistribution(
     if not 3 <= m <= 5:
         raise ParameterError(f"equidistribution check supports 3 <= m <= 5, got {m}")
     code = RMParams(m - 2, m)
-    counter = _code_counter(code, cap, f"equidistribution check of {code}")
+    basis = _capped_rep_basis(code, Scope.WITHIN_NEXT_ORDER, coset_cap)
+    ids, distribution = _dual_table(code, basis, cap)
     n = code.n
-    code_count = int(counter.weight_histogram()[n // 2])
-
-    reference: WeightDistribution | None = None
-    max_other = 0
-    witness = None
-    for rep in coset_representatives(code, Scope.WITHIN_NEXT_ORDER, coset_cap):
-        hist = counter.weight_histogram(rep.bits)
-        dist = WeightDistribution.from_dense(hist.tolist())
-        if reference is None:
-            reference = dist
-            max_other = dist[n // 2]
-        elif dist != reference:
-            witness = rep
-            break
+    code_count = distribution(ids[0])[n // 2]
+    reference = distribution(ids[1])
+    max_other = reference[n // 2]
+    bad = next((g for g in range(2, len(ids)) if distribution(ids[g]) != reference), None)
+    witness = None if bad is None else TruthTable(m, _build_rep(basis, bad))
     closed_b, closed_d = hamming_closed_forms(m)
     if witness is None and (code_count != closed_b or max_other != closed_d):
         raise ExactnessError(
@@ -579,13 +579,12 @@ def coset_weight_distribution(
 ) -> WeightDistribution:
     """Full weight distribution of code + rep, by enumeration or by the
     dual-side transform; both require rep outside the code."""
-    spec = CosetSpec(code, rep)
+    CosetSpec(code, rep)  # raises unless rep has the code's m and lies outside the code
     if method is Method.BRUTE:
         counter = _code_counter(code, cap, f"coset distribution of {code}")
         hist = counter.weight_histogram(rep.bits)
         return WeightDistribution.from_dense(hist.tolist())
     if method is Method.TRANSFORM:
-        B = rm_weight_distribution(dual_params(code), cap)
-        profile = coset_dual_profile(spec, cap)
-        return assmus_mattson(profile, B, code.dimension, code.n)
+        ids, distribution = _dual_table(code, [rep.bits], cap)
+        return distribution(ids[1])
     raise ParameterError("coset distributions support BRUTE or TRANSFORM")

@@ -7,8 +7,11 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rmlab import harness
+from rmlab import harness, transforms
+from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import (
@@ -26,8 +29,17 @@ from rmlab.harness import (
     verify_rm1_proposition,
     verify_theorem_basic,
 )
-from rmlab.rmcodes import RMParams, rm_iterate, rm_membership
+from rmlab.rmcodes import (
+    RMParams,
+    WeightDistribution,
+    dual_params,
+    monomial_basis,
+    rm_iterate,
+    rm_membership,
+    rm_weight_distribution,
+)
 from rmlab.spectral import rm1_coset_balanced_count
+from rmlab.transforms import CosetSpec, assmus_mattson, coset_dual_profile
 
 
 def test_representative_counts():
@@ -292,6 +304,18 @@ def test_dual_census_equals_brute_census(k, m, scope):
     assert harness._dual_census(code, scope) == census_balanced(code, scope)
 
 
+@pytest.mark.parametrize("k,m,scope", list(brute_census_pairs()))
+def test_dual_table_equals_brute_distributions(k, m, scope):
+    code = RMParams(k, m)
+    ids, distribution = harness._dual_table(code, harness._rep_basis(code, scope))
+    counter = SpanCounter([t.bits for t in monomial_basis(code)], code.n)
+    reps = [0] + [rep.bits for rep in coset_representatives(code, scope)]
+    assert len(ids) == len(reps)
+    for g, rep in enumerate(reps):
+        brute = WeightDistribution.from_dense(counter.weight_histogram(rep).tolist())
+        assert distribution(ids[g]) == brute, (g, hex(rep))
+
+
 def test_dual_census_asserts_its_integer_bounds():
     # 126 syndrome bits: more than the 64-bit key column holds
     with pytest.raises(ExactnessError, match="126-bit syndromes"):
@@ -307,11 +331,11 @@ def test_dual_census_asserts_its_integer_bounds():
 
 
 def test_dual_census_checks_every_division(monkeypatch):
-    # a central column off by one at weight 0 adds 1 to every sum, which
-    # floor division would hide
-    column = harness.kraw_column
-    monkeypatch.setattr(harness, "kraw_column", lambda j, n: [column(j, n)[0] + 1] + column(j, n)[1:])
-    with pytest.raises(ExactnessError, match=r"not 2\^\(n-K\) times a count"):
+    # a Krawtchouk row off by one at x = 0 adds F_g(0) = 1 to every sum,
+    # which floor division would hide
+    row = transforms.kraw_row
+    monkeypatch.setattr(transforms, "kraw_row", lambda x, n: tuple(v + (x == 0) for v in row(x, n)))
+    with pytest.raises(ExactnessError, match="not divisible"):
         harness._dual_census(RMParams(2, 4), Scope.FULL_SPACE)
 
 
@@ -408,6 +432,8 @@ def test_verify_oddweight():
     assert v.passed and (v.code_count, v.max_other) == (14, 0)
     v = verify_oddweight_cosets(4)
     assert v.passed and (v.code_count, v.max_other) == (870, 0)
+    v = verify_oddweight_cosets(5)
+    assert v.passed and (v.code_count, v.max_other) == (18796230, 0)
     v = verify_oddweight_cosets(2)
     assert v.passed and (v.code_count, v.max_other) == (0, 0)
     with pytest.raises(ParameterError):
@@ -419,10 +445,73 @@ def test_verify_equidistribution():
     assert v.passed and (v.code_count, v.max_other) == (14, 8)
     v = verify_hamming_coset_equidistribution(4)
     assert v.passed and (v.code_count, v.max_other) == (870, 800)
+    v = verify_hamming_coset_equidistribution(5)
+    assert v.passed and (v.code_count, v.max_other) == (18796230, 18783360)
     with pytest.raises(ParameterError):
         verify_hamming_coset_equidistribution(2)
     with pytest.raises(ParameterError):
         verify_hamming_coset_equidistribution(6)
+
+
+def patch_one_coset(monkeypatch, target, change):
+    """Give coset id target of every dual table a column of its own,
+    whose distribution is change(the true one)."""
+    real = harness._dual_table
+
+    def patched(code, basis, cap=None):
+        ids, distribution = real(code, basis, cap)
+        own = max(ids) + 1
+        true = distribution(ids[target])
+        ids = ids[:target] + [own] + ids[target + 1 :]
+        return ids, lambda i: change(true) if i == own else distribution(i)
+
+    monkeypatch.setattr(harness, "_dual_table", patched)
+
+
+@pytest.mark.parametrize("weight,max_other", [(8, 5), (2, 0)])
+def test_oddweight_reports_the_first_coset_with_an_even_weight(monkeypatch, weight, max_other):
+    code = RMParams(2, 4)
+    reps = list(coset_representatives(code, Scope.FULL_SPACE))
+    odd = [g for g, rep in enumerate(reps, start=1) if rep.bits.bit_count() % 2]
+    target = odd[2]
+    patch_one_coset(monkeypatch, target,
+                    lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(weight, 5)]))
+    v = verify_oddweight_cosets(4)
+    assert not v.passed
+    assert v.witness == reps[target - 1]
+    assert (v.code_count, v.max_other) == (870, max_other)
+
+
+def test_equidist_reports_the_first_coset_that_differs(monkeypatch):
+    code = RMParams(2, 4)
+    reps = list(coset_representatives(code, Scope.WITHIN_NEXT_ORDER))
+    target = 6
+    patch_one_coset(monkeypatch, target,
+                    lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(0, 1)]))
+    v = verify_hamming_coset_equidistribution(4)
+    assert not v.passed
+    assert v.witness == reps[target - 1]
+    assert (v.code_count, v.max_other) == (870, 800)
+
+
+# (k, m) with m <= 6 whose coset has reps and whose dual walk has at most 2^22 words
+SMALL_DUAL_PAIRS = [
+    (k, m) for m in range(1, 7) for k in range(m) if dual_params(RMParams(k, m)).dimension <= 22
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_DUAL_PAIRS).flatmap(
+    lambda km: st.tuples(st.just(km), st.integers(0, (1 << (1 << km[1])) - 1))))
+def test_random_rep_has_one_distribution_from_three_sources(case):
+    (k, m), bits = case
+    code, rep = RMParams(k, m), TruthTable(m, bits)
+    assume(not rm_membership(rep, code))
+    B = rm_weight_distribution(dual_params(code))
+    expected = assmus_mattson(coset_dual_profile(CosetSpec(code, rep)), B, code.dimension, code.n)
+    assert coset_weight_distribution(code, rep, method=Method.TRANSFORM) == expected
+    if code.dimension <= 20:
+        assert coset_weight_distribution(code, rep, method=Method.BRUTE) == expected
 
 
 def test_coset_weight_distribution_methods_agree():
