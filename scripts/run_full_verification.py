@@ -35,7 +35,7 @@ def planned_runs(slow: bool, workers: int):
         yield lambda k=k, m=m: verify_quotient_conjecture(k, m, workers=workers)
     for m in (3, 4):
         yield lambda m=m: verify_rm1_proposition(m)
-    for m in range(5, 11):
+    for m in range(5, 13):
         yield lambda m=m: verify_rm1_proposition(m, exhaustive=False)
     for m in (3, 4, 5):
         yield lambda m=m: verify_oddweight_cosets(m)

@@ -22,22 +22,6 @@ from .errors import ParameterError
 _BLOCK_LOG2 = 20
 
 
-def pack_tt(bits: int, n: int) -> np.ndarray:
-    """Packed table int -> uint8 array of n//8 bytes, position 0 in the
-    MSB of byte 0 (n >= 8)."""
-    if n % 8:
-        raise ParameterError(f"table length {n} is not a whole number of bytes")
-    return np.frombuffer(bits.to_bytes(n // 8, "big"), dtype=np.uint8).copy()
-
-
-def tt_to_positions(bits: int, n: int) -> np.ndarray:
-    """Packed table int -> uint8 array of n single-bit values, position order."""
-    if n >= 8:
-        return np.unpackbits(pack_tt(bits, n), bitorder="big")
-    raw = np.frombuffer(bits.to_bytes(1, "big"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="big")[8 - n :]
-
-
 def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
     """Stack packed tables into a (len, n/64 or 1) uint64 matrix.  Tables
     shorter than 64 bits go into the low bits of a single word."""

@@ -47,10 +47,9 @@ from .rmcodes import (
     monomial_basis,
     pivot_positions,
     require_cap,
-    rm_membership,
     rm_weight_distribution,
 )
-from .spectral import _fwht_rows, rm1_coset_balanced_count, wht_many
+from .spectral import _fwht_rows, wht_many
 from .transforms import CosetSpec, hamming_closed_forms, macwilliams
 
 
@@ -479,15 +478,12 @@ def verify_rm1_proposition(
     if exhaustive:
         if m > 4:
             raise ParameterError(f"exhaustive proposition check supports m <= 4, got {m}")
-
-        def balanced(rep: TruthTable) -> int:
-            c = rm1_coset_balanced_count(rep)
+        reps = list(coset_representatives(code, Scope.FULL_SPACE, coset_cap))
+        counts = _rm1_counts([rep.bits for rep in reps], m)[0].tolist()
+        for rep, c in zip(reps, counts):
             if m <= 3 and c != balanced_count_of_coset(code, rep):
                 raise ExactnessError(f"spectral/brute disagreement at rep {rep.to_hex()}")
-            return c
-
-        reps = coset_representatives(code, Scope.FULL_SPACE, coset_cap)
-        max_other, witness = _scan(((rep, balanced(rep)) for rep in reps), bound)
+        max_other, witness = _scan(zip(reps, counts), bound)
         return _verdict(
             "rm1", {"m": m}, Mode.EXHAUSTIVE, Method.SPECTRAL,
             max_other < bound, bound, max_other, witness, t0,
@@ -499,18 +495,16 @@ def verify_rm1_proposition(
         raise ParameterError(f"sample count must be positive, got {samples}")
     n = 1 << m
     rng = random.Random(seed)
-    drawn: list[int] = []
-    while len(drawn) < samples:
-        bits = rng.getrandbits(n)
-        if not rm_membership(TruthTable(m, bits), code):
-            drawn.append(bits)
-    max_other = 0
+    chunk_rows = max(1, (1 << 20) // n)
+    max_other = kept = 0
     witness = None
-    chunk_rows = max(1, (1 << 22) // n)
-    for lo in range(0, samples, chunk_rows):
-        batch = drawn[lo : lo + chunk_rows]
-        spectra = wht_many(batch, m)
-        zero_counts = 2 * np.count_nonzero(spectra == 0, axis=1)
+    while kept < samples:
+        # the draws of a rejection loop, in order: only the affine tables
+        # (the ones with |W| = 2^m somewhere) are dropped and drawn again
+        batch = [rng.getrandbits(n) for _ in range(min(chunk_rows, samples - kept))]
+        zero_counts, affine = _rm1_counts(batch, m)
+        kept += len(batch) - int(np.count_nonzero(affine))
+        zero_counts[affine] = 0
         max_other = max(max_other, int(zero_counts.max()))
         if witness is None:
             bad = np.nonzero(zero_counts >= bound)[0]
@@ -520,6 +514,21 @@ def verify_rm1_proposition(
         "rm1", {"m": m, "samples": samples, "seed": seed}, Mode.SAMPLED, Method.SPECTRAL,
         max_other < bound, bound, max_other, witness, t0,
     )
+
+
+def _rm1_counts(tables: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced words in each table's coset of RM(1,m), twice its spectral
+    zeros, and which tables are affine (|W| = 2^m at some omega).  Every
+    spectrum must have |W| <= 2^m and Parseval's sum of W^2 = 2^(2m),
+    which int64 sums check exactly for m <= 16."""
+    spectra = wht_many(tables, m)
+    n = 1 << m
+    wide = spectra.astype(np.int64)
+    # initial=0 covers the empty batch (RM(1,1) has no nontrivial coset)
+    if (spectra.max(initial=0) > n or spectra.min(initial=0) < -n
+            or np.any(np.einsum("ij,ij->i", wide, wide) != n * n)):
+        raise ExactnessError(f"a spectrum at m={m} breaks |W| <= 2^m or Parseval")
+    return 2 * np.count_nonzero(spectra == 0, axis=1), np.abs(spectra).max(axis=1) == n
 
 
 def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | None = None) -> Verdict:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bitenum import tt_to_positions
+from ._bitenum import _to_words
 from .bfcore import TruthTable, _check_m
 from .errors import ParameterError
 
@@ -59,23 +59,50 @@ def _fwht_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+_FLOAT32_MAX_M = 24  # float32 holds every integer of magnitude <= 2^24
+_HADAMARD: dict[tuple[int, type], np.ndarray] = {}
+
+
+def _hadamard(a: int, dtype: type) -> np.ndarray:
+    """The Sylvester matrix H_(2^a), entry (-1)^popcount(i & j), built
+    once per (a, dtype)."""
+    key = (a, dtype)
+    if key not in _HADAMARD:
+        idx = np.arange(1 << a)
+        h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(dtype)
+        h.flags.writeable = False  # one array serves every caller
+        _HADAMARD[key] = h
+    return _HADAMARD[key]
+
+
 def wht(f: TruthTable) -> WalshSpectrum:
-    """Fast transform of the (-1)^f sequence; O(n log n) additions."""
-    signs = 1 - 2 * tt_to_positions(f.bits, f.n).astype(np.int64)
-    out = _fwht_rows(signs)
-    return WalshSpectrum(f.m, tuple(int(v) for v in out))
+    """The spectrum of one table: the one-row case of wht_many."""
+    return WalshSpectrum(f.m, tuple(wht_many([f.bits], f.m)[0].tolist()))
 
 
 def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
-    """Spectra of a batch of packed truth tables, one per row (int32;
-    values are bounded by 2^m so this is exact for m <= 30)."""
+    """Spectra of a batch of packed truth tables, one int32 row each.
+
+    H_(2^m) is the Kronecker product of factors H_(2^a), a <= 6 and as
+    equal as possible; each factor is one matrix product on its digit of
+    the index (most significant first) over the +-1 rows.  Every partial
+    sum is an integer of magnitude <= 2^m: exact in float32 for m <= 24
+    and in float64 for every m <= MAX_M = 28.  (verify rm1 checks
+    Parseval on every row it reads.)"""
     _check_m(m)
     n = 1 << m
-    if not tables:
-        return np.zeros((0, n), dtype=np.int32)
-    rows = np.stack([tt_to_positions(t, n) for t in tables])
-    signs = 1 - 2 * rows.astype(np.int32)
-    return _fwht_rows(signs)
+    dtype = np.float32 if m <= _FLOAT32_MAX_M else np.float64
+    words = _to_words(list(tables), n)
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)[:, -n:]
+    x = np.subtract(1, 2 * bits, dtype=dtype)
+    factors = -(-m // 6)
+    low = n  # the length of the digits below the current one
+    for i in range(factors):
+        a = m // factors + (i < m % factors)
+        low >>= a
+        h = _hadamard(a, dtype)
+        x = x.reshape(-1, 1 << a) @ h if low == 1 else h @ x.reshape(-1, 1 << a, low)
+    return x.reshape(-1, n).astype(np.int32)
 
 
 def parseval_check(s: WalshSpectrum) -> bool:

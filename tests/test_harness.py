@@ -6,11 +6,12 @@ import zlib
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rmlab import harness, transforms
+from rmlab import harness, spectral, transforms
 from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
@@ -408,6 +409,45 @@ def test_verify_rm1_exhaustive():
     assert v.passed and (v.code_count, v.max_other) == (30, 24)
     with pytest.raises(ParameterError):
         verify_rm1_proposition(5, exhaustive=True)
+
+
+@pytest.mark.parametrize(
+    "m, samples, code_count, max_other",
+    # seed 0, as the rejection loop of Moebius membership tests gave them;
+    # at m = 2 half the draws are affine and are drawn again
+    [(2, 1000, 6, 0), (3, 1000, 14, 8), (12, 2000, 8190, 270), (13, 300, 16382, 350), (16, 40, 131070, 874)],
+)
+def test_verify_rm1_sampled_verdicts_are_pinned(m, samples, code_count, max_other):
+    v = verify_rm1_proposition(m, exhaustive=False, samples=samples, seed=0)
+    assert v.passed and v.witness is None
+    assert (v.code_count, v.max_other) == (code_count, max_other)
+
+
+def test_sampled_verdict_equals_the_rejection_loop():
+    # the first N non-affine draws of the seeded stream, with N one short
+    # of each new maximum, so a single draw too many changes max_other
+    for m in (3, 4, 5):
+        rng = random.Random(9)
+        counts = []
+        while len(counts) < 3000:
+            f = TruthTable(m, rng.getrandbits(1 << m))
+            if not rm_membership(f, RMParams(1, m)):
+                counts.append(rm1_coset_balanced_count(f))
+        running = [max(counts[: i + 1]) for i in range(len(counts))]
+        records = [i for i in range(1, len(counts)) if running[i] > running[i - 1]]
+        assert records
+        for samples in records + [len(counts)]:
+            v = verify_rm1_proposition(m, exhaustive=False, samples=samples, seed=9)
+            assert v.max_other == running[samples - 1]
+
+
+@pytest.mark.parametrize("m, exhaustive", [(4, True), (5, False)])
+def test_rm1_checks_parseval_on_every_spectrum(monkeypatch, m, exhaustive):
+    bad = spectral._hadamard(m, np.float32).copy()
+    bad[3, 5] = -bad[3, 5]
+    monkeypatch.setitem(spectral._HADAMARD, (m, np.float32), bad)
+    with pytest.raises(ExactnessError, match="Parseval"):
+        verify_rm1_proposition(m, exhaustive=exhaustive, samples=100)
 
 
 def test_verify_rm1_sampled():

@@ -14,10 +14,12 @@ from rmlab.bfcore import (
     linear_tt,
     tt_from_anf,
 )
+from rmlab import spectral
 from rmlab.errors import ParameterError
 from rmlab.rmcodes import RMParams, rm_membership
 from rmlab.spectral import (
     WalshSpectrum,
+    _fwht_rows,
     is_balanced_spectral,
     parseval_check,
     rm1_coset_balanced_count,
@@ -49,6 +51,15 @@ def wht_matmul_oracle(tables: list[int], m: int) -> np.ndarray:
         [[(t >> (n - 1 - i)) & 1 for i in range(n)] for t in tables], dtype=np.float64
     )
     return ((1.0 - 2.0 * rows) @ hadamard).astype(np.int64)
+
+
+def sign_rows(tables: list[int], m: int) -> np.ndarray:
+    """int64 (-1)^f rows in position order, unpacked byte by byte."""
+    n = 1 << m
+    width = max(n // 8, 1)
+    raw = np.frombuffer(b"".join(t.to_bytes(width, "big") for t in tables), dtype=np.uint8)
+    bits = np.unpackbits(raw).reshape(len(tables), 8 * width)[:, 8 * width - n :]
+    return 1 - 2 * bits.astype(np.int64)
 
 
 def test_spectrum_examples():
@@ -197,3 +208,44 @@ def test_proposition_bound_random():
                 tables.append(bits)
         zeros = np.count_nonzero(wht_many(tables, m) == 0, axis=1)
         assert int(zeros.max()) * 2 < bound
+
+
+def test_batch_equals_int64_butterfly_every_m():
+    # about 2^18 entries per m: every split of m into factors of at most
+    # 2^6, including the three-factor ones from m = 13 up
+    rng = random.Random(18)
+    for m in range(1, 17):
+        n = 1 << m
+        tables = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(max(1, (1 << 18) // n))]
+        fast = wht_many(tables, m)
+        assert fast.dtype == np.int32
+        assert np.array_equal(fast, _fwht_rows(sign_rows(tables, m))), m
+
+
+def test_float64_branch_equals_butterfly(monkeypatch):
+    monkeypatch.setattr(spectral, "_FLOAT32_MAX_M", 3)
+    monkeypatch.setattr(spectral, "_HADAMARD", {})
+    rng = random.Random(64)
+    for m in range(4, 13):
+        n = 1 << m
+        tables = [rng.getrandbits(n) for _ in range(max(1, (1 << 16) // n))]
+        assert np.array_equal(wht_many(tables, m), _fwht_rows(sign_rows(tables, m))), m
+    assert {dtype for _, dtype in spectral._HADAMARD} == {np.float64}
+
+
+def test_empty_batch():
+    assert wht_many([], 5).shape == (0, 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << (1 << m)) - 1), min_size=1, max_size=4))
+    )
+)
+def test_one_table_equals_its_batch_row_and_the_definition(data):
+    m, tables = data
+    batch = wht_many(tables, m)
+    for bits, row in zip(tables, batch):
+        assert list(wht(TruthTable(m, bits)).values) == row.tolist()
+    assert batch[0].tolist() == wht_definitional(TruthTable(m, tables[0]))
