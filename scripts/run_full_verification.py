@@ -48,6 +48,8 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1, help="census worker processes")
     parser.add_argument("--slow", action="store_true", help="include the long runs")
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     failures = 0
     for run in planned_runs(args.slow, args.workers):

@@ -12,6 +12,9 @@ cosets: censuses of balanced counts over coset families, and verdicts for
   equidist   - all nontrivial cosets of RM(m-2,m) inside RM(m-1,m) share
                one weight distribution.
 
+A coset's rep combines the unit tables off RM(k,m)'s information set
+(full space) or the degree-(k+1) monomials; its id is the combination.
+
 Brute censuses shard deterministically across worker processes and can
 resume from an append-only, checksummed checkpoint log.  theorem5's
 transform method, oddweight, equidist and the transform coset
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import itertools
 import os
 import random
 import re
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import _bitenum, transforms
-from .bfcore import TruthTable, monomial_tt
+from .bfcore import TruthTable
 from .errors import CapExceededError, ExactnessError, ParameterError
 from .rmcodes import (
     RMParams,
@@ -49,7 +51,7 @@ from .rmcodes import (
     require_cap,
     rm_weight_distribution,
 )
-from .spectral import _fwht_rows, wht_many
+from .spectral import _fwht_rows, _rm1_counts
 from .transforms import CosetSpec, hamming_closed_forms, macwilliams
 
 
@@ -141,17 +143,16 @@ def _verdict(claim, params, mode, method, passed, code_count, max_other, witness
 
 def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
     """Basis tables whose nonzero XOR-combinations are exactly one
-    representative per nontrivial coset in scope."""
+    representative per nontrivial coset in scope: the unit tables of the
+    positions outside the information set (FULL_SPACE), or the
+    degree-(k+1) monomials (WITHIN_NEXT_ORDER)."""
     if scope is Scope.FULL_SPACE:
         pivots = set(pivot_positions(code))
         n = code.n
         return [1 << (n - 1 - pos) for pos in range(n) if pos not in pivots]
     if code.trivial or code.k >= code.m:
         raise ParameterError(f"{code} has no next order inside RM({code.m},{code.m})")
-    return [
-        monomial_tt(code.m, combo).bits
-        for combo in itertools.combinations(range(1, code.m + 1), code.k + 1)
-    ]
+    return [t.bits for t in monomial_basis(RMParams(code.k + 1, code.m))[code.dimension:]]
 
 
 def _build_rep(basis: list[int], rep_id: int) -> int:
@@ -181,9 +182,9 @@ def coset_representatives(
     code: RMParams, scope: Scope, coset_cap: int | None = None
 ):
     """One representative per nontrivial coset: nonzero vectors on the
-    non-pivot coordinates (FULL_SPACE) or nonzero combinations of the
-    degree-(k+1) monomials (WITHIN_NEXT_ORDER), in counting order of the
-    combination index."""
+    positions u with popcount(u) > k (FULL_SPACE) or nonzero combinations
+    of the degree-(k+1) monomials (WITHIN_NEXT_ORDER), in counting order
+    of the combination index."""
     basis = _capped_rep_basis(code, scope, coset_cap)
     for g in range(1, 1 << len(basis)):
         yield TruthTable(code.m, _build_rep(basis, g))
@@ -505,30 +506,14 @@ def verify_rm1_proposition(
         zero_counts, affine = _rm1_counts(batch, m)
         kept += len(batch) - int(np.count_nonzero(affine))
         zero_counts[affine] = 0
-        max_other = max(max_other, int(zero_counts.max()))
-        if witness is None:
-            bad = np.nonzero(zero_counts >= bound)[0]
-            if bad.size:
-                witness = TruthTable(m, batch[int(bad[0])])
+        batch_max, bad = _scan(zip(batch, zero_counts.tolist()), bound)
+        max_other = max(max_other, batch_max)
+        if witness is None and bad is not None:
+            witness = TruthTable(m, bad)
     return _verdict(
         "rm1", {"m": m, "samples": samples, "seed": seed}, Mode.SAMPLED, Method.SPECTRAL,
         max_other < bound, bound, max_other, witness, t0,
     )
-
-
-def _rm1_counts(tables: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced words in each table's coset of RM(1,m), twice its spectral
-    zeros, and which tables are affine (|W| = 2^m at some omega).  Every
-    spectrum must have |W| <= 2^m and Parseval's sum of W^2 = 2^(2m),
-    which int64 sums check exactly for m <= 16."""
-    spectra = wht_many(tables, m)
-    n = 1 << m
-    wide = spectra.astype(np.int64)
-    # initial=0 covers the empty batch (RM(1,1) has no nontrivial coset)
-    if (spectra.max(initial=0) > n or spectra.min(initial=0) < -n
-            or np.any(np.einsum("ij,ij->i", wide, wide) != n * n)):
-        raise ExactnessError(f"a spectrum at m={m} breaks |W| <= 2^m or Parseval")
-    return 2 * np.count_nonzero(spectra == 0, axis=1), np.abs(spectra).max(axis=1) == n
 
 
 def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | None = None) -> Verdict:
@@ -543,7 +528,8 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     ids, distribution = _dual_table(code, basis, cap)
     n = code.n
     code_count = distribution(ids[0])[n // 2]
-    odd = [g for g in range(1, len(ids)) if _build_rep(basis, g).bit_count() % 2]
+    # the rep basis is unit tables, so rep g has weight popcount(g)
+    odd = [g for g in range(1, len(ids)) if g.bit_count() % 2]
     max_other = max((distribution(ids[g])[n // 2] for g in odd), default=0)
     # a balanced word has the even weight n/2, so one even weight is enough
     bad = next((g for g in odd if any(w % 2 == 0 for w in distribution(ids[g]).support)), None)

@@ -1,11 +1,14 @@
-"""Reed-Muller code parameters, enumeration, weight distributions, duality
-and McEliece divisibility.
+"""Reed-Muller code parameters, enumeration, weight distributions, duality,
+membership and McEliece divisibility.
 
 RM(k,m) is the code of truth tables of m-variable Boolean functions of
 algebraic degree <= k: length n = 2^m, dimension K = sum_{j<=k} C(m,j),
-dual code RM(m-k-1, m).  Exhaustive enumeration is gated by a dimension
-cap (default 26, overridable per call or via the RMLAB_CAP_DIM
-environment variable) so nothing silently tries to walk 2^200 codewords.
+dual code RM(m-k-1, m).  The positions u with popcount(u) <= k are an
+information set; one mask of the other positions both tests membership
+(no ANF coefficient there) and indexes the cosets (pivot_positions).
+Exhaustive enumeration is gated by a dimension cap (default 26,
+overridable per call or via the RMLAB_CAP_DIM environment variable) so
+nothing silently tries to walk 2^200 codewords.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 from . import _bitenum
 from .bfcore import MAX_M, TruthTable, _check_m, _mobius_bits, monomial_tt
@@ -253,24 +254,15 @@ def is_doubly_even(d: WeightDistribution) -> bool:
 
 @lru_cache(maxsize=None)
 def _high_degree_mask(m: int, k: int) -> int:
-    """Packed mask of the table positions whose point index has popcount
-    > k; an ANF coefficient there means degree > k."""
-    n = 1 << m
+    """Packed mask of the table positions u with popcount(u) > k, split on
+    Y_1: the half of the table with Y_1 = 0 is mask(m-1, k), the half with
+    Y_1 = 1 is mask(m-1, k-1).  An ANF coefficient there means degree > k;
+    the other positions are an information set of RM(k,m)."""
+    if k < 0:
+        return (1 << (1 << m)) - 1
     if k >= m:
         return 0
-    if n < 8:
-        mask = 0
-        for u in range(n):
-            if u.bit_count() > k:
-                mask |= 1 << (n - 1 - u)
-        return mask
-    chunks = []
-    step = 1 << 20
-    for start in range(0, n, step):
-        u = np.arange(start, min(start + step, n), dtype=np.uint32)
-        bad = (np.bitwise_count(u) > k).astype(np.uint8)
-        chunks.append(np.packbits(bad, bitorder="big").tobytes())
-    return int.from_bytes(b"".join(chunks), "big")
+    return _high_degree_mask(m - 1, k) << (1 << (m - 1)) | _high_degree_mask(m - 1, k - 1)
 
 
 def rm_membership(t: TruthTable, p: RMParams) -> bool:
@@ -287,20 +279,9 @@ def rm_membership(t: TruthTable, p: RMParams) -> bool:
 
 
 def pivot_positions(p: RMParams) -> tuple[int, ...]:
-    """Pivot coordinates of the reduced row-echelon form of the monomial
-    generator matrix, ascending.  The complementary coordinates index the
-    cosets of the code in the full space."""
-    rows = [t.bits for t in monomial_basis(p)]
-    n = p.n
-    pivots = []
-    for pos in range(n):
-        if not rows:
-            break
-        colbit = 1 << (n - 1 - pos)
-        hit = next((i for i, r in enumerate(rows) if r & colbit), None)
-        if hit is None:
-            continue
-        pivot = rows.pop(hit)
-        rows = [r ^ pivot if r & colbit else r for r in rows]
-        pivots.append(pos)
-    return tuple(pivots)
+    """The positions u with popcount(u) <= k, ascending (none for the zero
+    code): an information set, on which the monomial generator matrix is
+    unitriangular.  The other positions index the cosets of the code in
+    the full space."""
+    mask = format(_high_degree_mask(p.m, -1 if p.trivial else p.k), f"0{p.n}b")
+    return tuple(pos for pos, bit in enumerate(mask) if bit == "0")

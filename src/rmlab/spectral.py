@@ -15,7 +15,7 @@ import numpy as np
 
 from ._bitenum import _to_words
 from .bfcore import TruthTable, _check_m
-from .errors import ParameterError
+from .errors import ExactnessError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,23 @@ def is_balanced_spectral(f: TruthTable) -> bool:
 
 
 def rm1_coset_balanced_count(f: TruthTable) -> int:
-    """Number of balanced words in the coset f + RM(1,m): twice the
-    number of spectral zeros, since wt(f + x.omega) = (n - W_f(omega))/2
-    and complementing flips the sign of W."""
-    spectrum = wht(f)
-    return 2 * sum(1 for v in spectrum.values if v == 0)
+    """Number of balanced words in the coset f + RM(1,m): the one-row case
+    of the batched, checked count _rm1_counts."""
+    return int(_rm1_counts([f.bits], f.m)[0][0])
+
+
+def _rm1_counts(tables: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced words in each table's coset of RM(1,m), twice its spectral
+    zeros (wt(f + x.omega) = (n - W_f(omega))/2, and complementing flips
+    the sign of W), and which tables are affine (|W| = 2^m at some omega).
+    Every spectrum must have |W| <= 2^m and Parseval's sum of W^2 =
+    2^(2m); int64 sums of 2^m squares of at most 2^(2m) check it exactly
+    for m <= 20, and modulo 2^64 above."""
+    spectra = wht_many(tables, m)
+    n = 1 << m
+    wide = spectra.astype(np.int64)
+    # initial=0 covers the empty batch (RM(1,1) has no nontrivial coset)
+    if (spectra.max(initial=0) > n or spectra.min(initial=0) < -n
+            or np.any(np.einsum("ij,ij->i", wide, wide) != n * n)):
+        raise ExactnessError(f"a spectrum at m={m} breaks |W| <= 2^m or Parseval")
+    return 2 * np.count_nonzero(spectra == 0, axis=1), np.abs(spectra).max(axis=1) == n

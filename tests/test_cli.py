@@ -22,6 +22,7 @@ else:  # pytest itself requires tomli below 3.11
     import tomli as tomllib
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 WEIGHTDIST_ARGS = ["weightdist", "-k", "1", "-m", "3", "--format", "csv"]
 WEIGHTDIST_CSV = "weight,count\n0,1\n4,14\n8,1\n"
 
@@ -384,6 +385,16 @@ def test_installed_entry_point(tmp_path):
     proc = run_child([sys.executable, "-c", RUN_ENTRY_POINT, target, *WEIGHTDIST_ARGS],
                      tmp_path)
     assert proc.returncode == 0 and proc.stdout == WEIGHTDIST_CSV, proc.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_full_verification_rejects_nonpositive_workers(tmp_path, workers):
+    # exit 2 is a usage error; exit 1 would claim that a claim failed
+    script = str(SCRIPTS / "run_full_verification.py")
+    proc = run_child([sys.executable, script, "--workers", workers], tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--workers must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("rmlab") is None, reason="rmlab console script not installed")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import re
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from rmlab import harness, spectral, transforms
 from rmlab._bitenum import SpanCounter
-from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
+from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import (
     Method,
@@ -35,6 +36,7 @@ from rmlab.rmcodes import (
     WeightDistribution,
     dual_params,
     monomial_basis,
+    pivot_positions,
     rm_iterate,
     rm_membership,
     rm_weight_distribution,
@@ -77,6 +79,26 @@ def test_within_scope_reps_tile_the_next_order():
     for rep in reps:
         words.update(w.bits ^ rep.bits for w in rm_iterate(code))
     assert words == {w.bits for w in rm_iterate(bigger)}
+
+
+def test_rep_basis_equals_the_pivot_and_combination_construction():
+    # oracle: unit tables off the pivots (pivot_positions is pinned to
+    # Gaussian elimination in test_rmcodes), and the degree-(k+1)
+    # monomials in combination order
+    for m in range(1, 8):
+        for k in range(m + 1):
+            code = RMParams(k, m)
+            n = code.n
+            pivots = set(pivot_positions(code))
+            full = [1 << (n - 1 - pos) for pos in range(n) if pos not in pivots]
+            assert harness._rep_basis(code, Scope.FULL_SPACE) == full, (k, m)
+            if k == m:
+                with pytest.raises(ParameterError):
+                    harness._rep_basis(code, Scope.WITHIN_NEXT_ORDER)
+                continue
+            combos = itertools.combinations(range(1, m + 1), k + 1)
+            within = [monomial_tt(m, combo).bits for combo in combos]
+            assert harness._rep_basis(code, Scope.WITHIN_NEXT_ORDER) == within, (k, m)
 
 
 def test_coset_cap():
@@ -448,6 +470,25 @@ def test_rm1_checks_parseval_on_every_spectrum(monkeypatch, m, exhaustive):
     monkeypatch.setitem(spectral._HADAMARD, (m, np.float32), bad)
     with pytest.raises(ExactnessError, match="Parseval"):
         verify_rm1_proposition(m, exhaustive=exhaustive, samples=100)
+
+
+def test_sampled_rm1_names_the_first_table_at_the_bound(monkeypatch):
+    # the claim holds, so the counts are forced: rows 3 and 5 of each batch
+    # (1024 tables at m = 10) reach 2^(m+1)-2, and the verdict names the
+    # first of them drawn
+    real = harness._rm1_counts
+
+    def forced(tables, m):
+        counts, affine = real(tables, m)
+        counts[[3, 5]] = (1 << (m + 1)) - 2
+        return counts, affine
+
+    monkeypatch.setattr(harness, "_rm1_counts", forced)
+    v = verify_rm1_proposition(10, exhaustive=False, samples=2100, seed=4)
+    rng = random.Random(4)
+    draws = [rng.getrandbits(1024) for _ in range(2100)]
+    assert not v.passed and v.max_other == 2046
+    assert v.witness == TruthTable(10, draws[3])
 
 
 def test_verify_rm1_sampled():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab.bfcore import TruthTable, linear_tt, PointVector, tt_from_anf, AnfMonomialSet
+from rmlab.bfcore import TruthTable, linear_tt, PointVector, tt_from_anf, AnfMonomialSet, degree_of
 from rmlab.errors import CapExceededError, ParameterError
 from rmlab.rmcodes import (
     DEFAULT_DIMENSION_CAP,
@@ -239,6 +239,25 @@ def test_weight_distribution_json():
     assert WeightDistribution.from_json_obj(json.loads(text)) == big
 
 
+def eliminated_pivots(p: RMParams) -> tuple[int, ...]:
+    """Independent oracle: the pivot columns of the reduced row-echelon
+    form of the monomial generator matrix, by Gaussian elimination."""
+    rows = [t.bits for t in monomial_basis(p)]
+    n = p.n
+    pivots = []
+    for pos in range(n):
+        if not rows:
+            break
+        colbit = 1 << (n - 1 - pos)
+        hit = next((i for i, r in enumerate(rows) if r & colbit), None)
+        if hit is None:
+            continue
+        pivot = rows.pop(hit)
+        rows = [r ^ pivot if r & colbit else r for r in rows]
+        pivots.append(pos)
+    return tuple(pivots)
+
+
 def test_pivot_positions():
     p = RMParams(1, 3)
     pivots = pivot_positions(p)
@@ -246,6 +265,33 @@ def test_pivot_positions():
     assert len(set(pivots)) == len(pivots)
     # pivots of the full-space code are all coordinates
     assert pivot_positions(RMParams(3, 3)) == tuple(range(8))
+    # the popcount <= k information set is the elimination's pivot set
+    for m in range(1, 9):
+        for k in range(m + 1):
+            assert pivot_positions(RMParams(k, m)) == eliminated_pivots(RMParams(k, m)), (k, m)
+    assert pivot_positions(RMParams.zero_code(3)) == eliminated_pivots(RMParams.zero_code(3)) == ()
+
+
+def test_membership_is_degree_at_most_k():
+    # uniform tables, plus codewords of each RM(d,m), so every k sees both
+    # members and non-members
+    rng = random.Random(13)
+    for m in range(1, 11):
+        n = 1 << m
+        tables = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(8)]
+        for d in range(m + 1):
+            basis = monomial_basis(RMParams(d, m))
+            for _ in range(3):
+                bits = 0
+                for t in basis:
+                    if rng.getrandbits(1):
+                        bits ^= t.bits
+                tables.append(bits)
+        for bits in tables:
+            t = TruthTable(m, bits)
+            deg = degree_of(t)
+            for k in range(m + 1):
+                assert rm_membership(t, RMParams(k, m)) == (deg is None or deg <= k), (m, k, bits)
 
 
 def test_dimension_formula():

@@ -15,7 +15,7 @@ from rmlab.bfcore import (
     tt_from_anf,
 )
 from rmlab import spectral
-from rmlab.errors import ParameterError
+from rmlab.errors import ExactnessError, ParameterError
 from rmlab.rmcodes import RMParams, rm_membership
 from rmlab.spectral import (
     WalshSpectrum,
@@ -184,6 +184,14 @@ def test_rm1_count_examples():
     # spectrum (+-4 at the four omega with omega_3 = 0, zero elsewhere):
     # four zeros, so 8 balanced words in the coset
     assert rm1_coset_balanced_count(f) == 8
+
+
+def test_rm1_count_checks_parseval(monkeypatch):
+    bad = spectral._hadamard(4, np.float32).copy()
+    bad[3, 5] = -bad[3, 5]
+    monkeypatch.setitem(spectral._HADAMARD, (4, np.float32), bad)
+    with pytest.raises(ExactnessError, match="Parseval"):
+        rm1_coset_balanced_count(tt_from_anf(AnfMonomialSet.from_str(4, "Y1Y2Y3")))
 
 
 def test_proposition_bound_m3_exhaustive():
