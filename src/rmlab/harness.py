@@ -150,9 +150,14 @@ def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
         pivots = set(pivot_positions(code))
         n = code.n
         return [1 << (n - 1 - pos) for pos in range(n) if pos not in pivots]
+    degree = _next_degree(code)
+    return [t.bits for t in monomial_basis(RMParams(degree, code.m), lowest=degree)]
+
+
+def _next_degree(code: RMParams) -> int:
     if code.trivial or code.k >= code.m:
         raise ParameterError(f"{code} has no next order inside RM({code.m},{code.m})")
-    return [t.bits for t in monomial_basis(RMParams(code.k + 1, code.m))[code.dimension:]]
+    return code.k + 1
 
 
 def _build_rep(basis: list[int], rep_id: int) -> int:
@@ -168,14 +173,17 @@ def _build_rep(basis: list[int], rep_id: int) -> int:
 
 
 def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> list[int]:
-    """The rep basis, once its cosets are counted against the coset cap."""
-    basis = _rep_basis(code, scope)
+    """The rep basis, built only once its cosets are counted against the
+    coset cap: its tables have 2^m bits each, too many to build first."""
+    if scope is Scope.FULL_SPACE:
+        dim = code.n - code.dimension
+    else:
+        dim = comb(code.m, _next_degree(code))
     limit = DEFAULT_COSET_CAPS[scope] if override is None else override
-    if (1 << len(basis)) > limit:
-        raise CapExceededError(
-            f"{1 << len(basis)} cosets in scope {scope.name} exceed the coset cap {limit}"
-        )
-    return basis
+    if (1 << dim) > limit:
+        # 2^dim, not its decimal digits: those pass int -> str's limit from m = 14
+        raise CapExceededError(f"2^{dim} cosets in scope {scope.name} exceed the coset cap {limit}")
+    return _rep_basis(code, scope)
 
 
 def coset_representatives(

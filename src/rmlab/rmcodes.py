@@ -187,14 +187,15 @@ class WeightDistribution:
         return cls.from_dense(counts)
 
 
-def monomial_basis(p: RMParams) -> list[TruthTable]:
+def monomial_basis(p: RMParams, lowest: int = 0) -> list[TruthTable]:
     """Generator rows of RM(k,m): all monomials of degree <= k in
-    graded-lexicographic order (by degree, then variable indices)."""
+    graded-lexicographic order (by degree, then variable indices), or
+    only those of degree lowest..k."""
     if p.trivial:
         return []
     return [
         monomial_tt(p.m, combo)
-        for d in range(p.k + 1)
+        for d in range(lowest, p.k + 1)
         for combo in itertools.combinations(range(1, p.m + 1), d)
     ]
 
@@ -258,11 +259,12 @@ def _high_degree_mask(m: int, k: int) -> int:
     Y_1: the half of the table with Y_1 = 0 is mask(m-1, k), the half with
     Y_1 = 1 is mask(m-1, k-1).  An ANF coefficient there means degree > k;
     the other positions are an information set of RM(k,m)."""
-    if k < 0:
-        return (1 << (1 << m)) - 1
-    if k >= m:
-        return 0
-    return _high_degree_mask(m - 1, k) << (1 << (m - 1)) | _high_degree_mask(m - 1, k - 1)
+    # level j keeps mask(j, k-m+j+i) for i = 0..m-j, the orders the levels
+    # above still read; the one-position table's mask is 1 iff the order < 0
+    masks = [int(k - m + i < 0) for i in range(m + 1)]
+    for j in range(m):
+        masks = [hi << (1 << j) | lo for lo, hi in zip(masks, masks[1:])]
+    return masks[0]
 
 
 def rm_membership(t: TruthTable, p: RMParams) -> bool:

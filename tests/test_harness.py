@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rmlab import harness, spectral, transforms
+from rmlab import harness, rmcodes, spectral, transforms
 from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
@@ -107,6 +107,35 @@ def test_coset_cap():
         next(gen)
     gen = coset_representatives(RMParams(1, 5), Scope.FULL_SPACE, coset_cap=1 << 26)
     assert next(gen).m == 5
+
+
+@pytest.mark.parametrize(
+    "k,m,scope,builds",
+    [
+        (16, 18, Scope.WITHIN_NEXT_ORDER, 0),  # 2^18 cosets exceed the coset cap
+        (14, 16, Scope.WITHIN_NEXT_ORDER, 16),  # the dimension cap refuses RM(14,16)
+        (1, 15, Scope.FULL_SPACE, 0),  # 2^32752 cosets exceed the coset cap
+    ],
+)
+def test_census_refuses_before_building_more_than_its_rep_basis(monkeypatch, k, m, scope, builds):
+    # every rep table has 2^m bits, so a refusal may build at most the
+    # C(m, k+1) degree-(k+1) monomials, and no table before the coset cap
+    built = []
+    real = rmcodes.monomial_tt
+
+    def counted(m, combo):
+        built.append(combo)
+        assert len(built) <= builds, f"built more than {builds} tables"
+        return real(m, combo)
+
+    def no_full_basis(code):
+        raise AssertionError("built the full-space rep basis")
+
+    monkeypatch.setattr(rmcodes, "monomial_tt", counted)
+    monkeypatch.setattr(harness, "pivot_positions", no_full_basis)
+    with pytest.raises(CapExceededError):
+        census_balanced(RMParams(k, m), scope)
+    assert len(built) == builds
 
 
 def test_balanced_count_of_coset():
