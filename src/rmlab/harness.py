@@ -51,7 +51,7 @@ from .rmcodes import (
     require_cap,
     rm_weight_distribution,
 )
-from .spectral import _fwht_rows, _rm1_counts
+from .spectral import _exact_float, _rm1_counts, _wht_rows
 from .transforms import CosetSpec, hamming_closed_forms, macwilliams
 
 
@@ -175,6 +175,8 @@ def _build_rep(basis: list[int], rep_id: int) -> int:
 def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> list[int]:
     """The rep basis, built only once its cosets are counted against the
     coset cap: its tables have 2^m bits each, too many to build first."""
+    if override is not None and (not isinstance(override, int) or override < 0):
+        raise ParameterError(f"coset cap override must be a nonnegative int, got {override!r}")
     if scope is Scope.FULL_SPACE:
         dim = code.n - code.dimension
     else:
@@ -361,23 +363,22 @@ def _dual_table(
     code: RMParams, basis: list[int], cap: int | None = None
 ) -> tuple[list[int], Callable[[int], WeightDistribution]]:
     """Every coset distribution of code + rep_g (rep_g the XOR of the basis
-    tables that id g selects; id 0 is the code) from one walk of the dual:
-    with s(b) the syndrome of dual word b against the basis, one FWHT over
-    s of the (s, wt) histogram gives F_g(w) = sum_{wt b = w} (-1)^(g.s(b)),
-    and A_g(j) = 2^(K-n) sum_w F_g(w) P_j(w;n) (MacWilliams for cosets).
-    Returns each id's distinct column of F and a cached contraction."""
+    tables that id g selects; id 0 is the code) from one walk of the dual,
+    by MacWilliams for cosets: A_g(j) = 2^(K-n) sum_w F_g(w) P_j(w;n), where
+    F_g(w) = sum_{wt b = w} (-1)^(g.s(b)) is the Hadamard transform over the
+    syndrome s(b) of column w of the (s, wt) histogram, at most 2^dim(dual)
+    in size.  Returns each id's distinct column of F and a cached contraction."""
     r, n, dual = len(basis), code.n, dual_params(code)
     require_cap(dual.dimension, cap, f"dual walk of {code} over {dual}")
     if r > 64:
         raise ExactnessError(f"{r}-bit syndromes do not fit the 64-bit key column")
-    if dual.dimension > 62:  # every F_g(w) is at most 2^dim(dual) in size
-        raise ExactnessError(f"int64 transform of a {dual.dimension}-dimensional dual may overflow")
+    dtype = _exact_float(dual.dimension, f"the transform of a {dual.dimension}-dimensional dual")
     require_cap(r + code.m, cap, f"dual walk of {code} (2^{r} syndromes x {n + 1} weights)")
     gens = [t.bits for t in monomial_basis(dual)]
     keys = [sum(((b & t).bit_count() & 1) << i for i, t in enumerate(basis)) for b in gens]
     hist = _bitenum.SpanCounter(gens, n, keys, r).weight_histogram().reshape(1 << r, n + 1)
     weights = np.flatnonzero(hist.any(axis=0)).tolist()
-    spectra = _fwht_rows(np.ascontiguousarray(hist[:, weights].T))
+    spectra = _wht_rows(np.ascontiguousarray(hist[:, weights].T, dtype=dtype)).astype(np.int64)
     columns, ids = np.unique(spectra.T, axis=0, return_inverse=True)
 
     @lru_cache(maxsize=None)

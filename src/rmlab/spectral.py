@@ -45,22 +45,17 @@ class WalshSpectrum:
         return list(self.values)
 
 
-def _fwht_rows(rows: np.ndarray) -> np.ndarray:
-    """In-place radix-2 butterfly along the last axis (length a power of
-    two); each row becomes its Hadamard transform."""
-    n = rows.shape[-1]
-    h = 1
-    while h < n:
-        v = rows.reshape(-1, n // (2 * h), 2, h)
-        top = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = top + v[:, :, 1, :]
-        v[:, :, 1, :] = top - v[:, :, 1, :]
-        h *= 2
-    return rows
-
-
-_FLOAT32_MAX_M = 24  # float32 holds every integer of magnitude <= 2^24
+_FLOAT32_BITS = 24  # float32 holds every integer of magnitude <= 2^24
 _HADAMARD: dict[tuple[int, type], np.ndarray] = {}
+
+
+def _exact_float(log2_bound: int, what: str) -> type:
+    """The narrowest float type exact for every integer of magnitude <= 2^log2_bound."""
+    if log2_bound <= _FLOAT32_BITS:
+        return np.float32
+    if log2_bound <= 53:
+        return np.float64
+    raise ExactnessError(f"{what} may reach 2^{log2_bound}, past float64's exact integers")
 
 
 def _hadamard(a: int, dtype: type) -> np.ndarray:
@@ -75,34 +70,38 @@ def _hadamard(a: int, dtype: type) -> np.ndarray:
     return _HADAMARD[key]
 
 
+def _wht_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of the Hadamard transform along the last axis (length 2^m) of
+    a float array.  H_(2^m) is the Kronecker product of factors H_(2^a),
+    a <= 6 and as equal as possible, each one matrix product on its digit
+    of the index (most significant first).  Every partial sum is a signed
+    sum of distinct entries of one row: exact in the type _exact_float
+    picks for the largest absolute row sum."""
+    m = x.shape[-1].bit_length() - 1
+    factors = -(-m // 6)
+    low = 1 << m  # the length of the digits below the current one
+    for i in range(factors):
+        a = m // factors + (i < m % factors)
+        low >>= a
+        h = _hadamard(a, x.dtype.type)
+        x = x.reshape(-1, 1 << a) @ h if low == 1 else h @ x.reshape(-1, 1 << a, low)
+    return x.reshape(-1, 1 << m)
+
+
 def wht(f: TruthTable) -> WalshSpectrum:
     """The spectrum of one table: the one-row case of wht_many."""
     return WalshSpectrum(f.m, tuple(wht_many([f.bits], f.m)[0].tolist()))
 
 
 def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
-    """Spectra of a batch of packed truth tables, one int32 row each.
-
-    H_(2^m) is the Kronecker product of factors H_(2^a), a <= 6 and as
-    equal as possible; each factor is one matrix product on its digit of
-    the index (most significant first) over the +-1 rows.  Every partial
-    sum is an integer of magnitude <= 2^m: exact in float32 for m <= 24
-    and in float64 for every m <= MAX_M = 28.  (verify rm1 checks
-    Parseval on every row it reads.)"""
+    """Spectra of packed truth tables, one int32 row each: the _wht_rows of
+    +-1 rows typed for their sums 2^m, unnamed so the kernel can free them."""
     _check_m(m)
     n = 1 << m
-    dtype = np.float32 if m <= _FLOAT32_MAX_M else np.float64
     words = _to_words(list(tables), n)
     bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)[:, -n:]
-    x = np.subtract(1, 2 * bits, dtype=dtype)
-    factors = -(-m // 6)
-    low = n  # the length of the digits below the current one
-    for i in range(factors):
-        a = m // factors + (i < m % factors)
-        low >>= a
-        h = _hadamard(a, dtype)
-        x = x.reshape(-1, 1 << a) @ h if low == 1 else h @ x.reshape(-1, 1 << a, low)
-    return x.reshape(-1, n).astype(np.int32)
+    dtype = _exact_float(m, f"the spectrum of a {m}-variable table")
+    return _wht_rows(np.subtract(1, 2 * bits, dtype=dtype)).astype(np.int32)
 
 
 def parseval_check(s: WalshSpectrum) -> bool:

@@ -279,6 +279,15 @@ def test_census_caps(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "-k", "1", "-m", "3", "--coset-cap", "-1"],
+    ["verify", "theorem5", "-k", "2", "-m", "4", "--method", "transform", "--coset-cap", "-5"],
+])
+def test_negative_coset_cap_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "coset cap override must be a nonnegative int" in err
+
+
 def test_workers_must_be_positive(capsys):
     for workers in ("0", "-1"):
         code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--workers", workers)

@@ -107,6 +107,8 @@ def test_coset_cap():
         next(gen)
     gen = coset_representatives(RMParams(1, 5), Scope.FULL_SPACE, coset_cap=1 << 26)
     assert next(gen).m == 5
+    with pytest.raises(ParameterError, match="coset cap override must be a nonnegative int"):
+        next(coset_representatives(RMParams(1, 3), Scope.FULL_SPACE, coset_cap=-1))
 
 
 @pytest.mark.parametrize(
@@ -368,18 +370,41 @@ def test_dual_table_equals_brute_distributions(k, m, scope):
         assert distribution(ids[g]) == brute, (g, hex(rep))
 
 
-def test_dual_census_asserts_its_integer_bounds():
+def test_dual_census_asserts_its_integer_bounds(monkeypatch):
+    # every bound is checked before the dual walk starts
+    monkeypatch.setattr(harness._bitenum, "SpanCounter", None)
     # 126 syndrome bits: more than the 64-bit key column holds
     with pytest.raises(ExactnessError, match="126-bit syndromes"):
         harness._dual_census(RMParams(3, 9), Scope.WITHIN_NEXT_ORDER, cap=1000, coset_cap=1 << 200)
-    # 64 syndrome bits fit, but transform entries of a 64-dimensional dual may not fit int64
+    # 64 syndrome bits fit, but transform sums of a 64-dimensional dual may pass float64's 2^53
     with pytest.raises(ExactnessError, match="64-dimensional dual"):
         harness._dual_census(RMParams(3, 7), Scope.FULL_SPACE, cap=1000, coset_cap=1 << 64)
+    # a 57-dimensional dual fits int64, but its 2^57-word walk could not
+    # finish and its transform sums may pass float64's exact 2^53
+    with pytest.raises(ExactnessError, match="57-dimensional dual"):
+        harness._dual_census(RMParams(1, 6), Scope.FULL_SPACE, cap=1000, coset_cap=1 << 57)
     # under the default caps the dual walk and the histogram are capped first
     with pytest.raises(CapExceededError):
         harness._dual_census(RMParams(3, 7), Scope.FULL_SPACE, coset_cap=1 << 64)
     with pytest.raises(CapExceededError, match=r"2\^9 syndromes x 257 weights"):
         harness._dual_census(RMParams(6, 8), Scope.FULL_SPACE, cap=16)
+
+
+def test_dual_table_takes_its_float_type_from_the_dual_dimension(monkeypatch):
+    # no dual that a test can walk has a weight class past float32's 2^24,
+    # so lower float32's bound to 2^10 instead: under the 11-dimensional
+    # dual RM(2,4) of RM(1,4), above its 6 syndrome bits
+    dtypes = []
+    kernel = harness._wht_rows
+    monkeypatch.setattr(harness, "_wht_rows", lambda x: dtypes.append(x.dtype.type) or kernel(x))
+    code = RMParams(1, 4)
+    basis = harness._rep_basis(code, Scope.WITHIN_NEXT_ORDER)
+    ids, distribution = harness._dual_table(code, basis)
+    monkeypatch.setattr(spectral, "_FLOAT32_BITS", 10)
+    wide_ids, wide_distribution = harness._dual_table(code, basis)
+    assert dtypes == [np.float32, np.float64]
+    assert wide_ids == ids
+    assert [wide_distribution(i) for i in set(ids)] == [distribution(i) for i in set(ids)]
 
 
 def test_dual_census_checks_every_division(monkeypatch):

@@ -19,7 +19,6 @@ from rmlab.errors import ExactnessError, ParameterError
 from rmlab.rmcodes import RMParams, rm_membership
 from rmlab.spectral import (
     WalshSpectrum,
-    _fwht_rows,
     is_balanced_spectral,
     parseval_check,
     rm1_coset_balanced_count,
@@ -51,6 +50,20 @@ def wht_matmul_oracle(tables: list[int], m: int) -> np.ndarray:
         [[(t >> (n - 1 - i)) & 1 for i in range(n)] for t in tables], dtype=np.float64
     )
     return ((1.0 - 2.0 * rows) @ hadamard).astype(np.int64)
+
+
+def fwht_butterfly(rows: np.ndarray) -> np.ndarray:
+    """In-place int64 radix-2 butterfly along the last axis (length a power
+    of two): each row becomes its Hadamard transform in exact integers."""
+    n = rows.shape[-1]
+    h = 1
+    while h < n:
+        v = rows.reshape(-1, n // (2 * h), 2, h)
+        top = v[:, :, 0, :].copy()
+        v[:, :, 0, :] = top + v[:, :, 1, :]
+        v[:, :, 1, :] = top - v[:, :, 1, :]
+        h *= 2
+    return rows
 
 
 def sign_rows(tables: list[int], m: int) -> np.ndarray:
@@ -227,18 +240,42 @@ def test_batch_equals_int64_butterfly_every_m():
         tables = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(max(1, (1 << 18) // n))]
         fast = wht_many(tables, m)
         assert fast.dtype == np.int32
-        assert np.array_equal(fast, _fwht_rows(sign_rows(tables, m))), m
+        assert np.array_equal(fast, fwht_butterfly(sign_rows(tables, m))), m
 
 
 def test_float64_branch_equals_butterfly(monkeypatch):
-    monkeypatch.setattr(spectral, "_FLOAT32_MAX_M", 3)
+    monkeypatch.setattr(spectral, "_FLOAT32_BITS", 3)
     monkeypatch.setattr(spectral, "_HADAMARD", {})
     rng = random.Random(64)
     for m in range(4, 13):
         n = 1 << m
         tables = [rng.getrandbits(n) for _ in range(max(1, (1 << 16) // n))]
-        assert np.array_equal(wht_many(tables, m), _fwht_rows(sign_rows(tables, m))), m
+        assert np.array_equal(wht_many(tables, m), fwht_butterfly(sign_rows(tables, m))), m
     assert {dtype for _, dtype in spectral._HADAMARD} == {np.float64}
+
+
+def test_exact_float_edges():
+    assert spectral._exact_float(24, "sums") is np.float32
+    assert spectral._exact_float(25, "sums") is np.float64
+    assert spectral._exact_float(53, "sums") is np.float64
+    with pytest.raises(ExactnessError, match=r"sums may reach 2\^54"):
+        spectral._exact_float(54, "sums")
+
+
+def test_kernel_equals_butterfly_on_histograms():
+    # int64 (weight, syndrome) counts as the dual table transforms them, at
+    # every split of up to 2^18 syndromes: columns summing below 2^24 run
+    # in float32, and an entry of 2^24 + 1 (which float32 rounds) in float64
+    rng = np.random.default_rng(18)
+    for r in range(19):
+        small = rng.integers(0, (1 << 24) >> r, size=(3, 1 << r), dtype=np.int64)
+        big = small.copy()
+        big[:, -1] = (1 << 24) + 1
+        for hist, want in ((small, np.float32), (big, np.float64)):
+            dtype = spectral._exact_float(int(hist.sum(axis=1).max()).bit_length(), "test")
+            assert dtype is want, r
+            fast = spectral._wht_rows(hist.astype(dtype)).astype(np.int64)
+            assert np.array_equal(fast, fwht_butterfly(hist.copy())), (r, want)
 
 
 def test_empty_batch():
