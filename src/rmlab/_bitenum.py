@@ -8,18 +8,29 @@ the combination with characteristic vector g in plain binary counting
 order.  For spans too large for memory the low part is materialized once
 and the high basis vectors are folded in by Gray-code stepping, one XOR
 of the whole block per step.
+
+A span is queried for its weight histogram against one offset, or for
+the words of one weight against a batch of offsets: a census reads one
+weight for thousands of coset representatives, so each numpy pass XORs
+as many offsets against the block as fit in _PASS_WORDS words and
+counts matches, with no histogram.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .bfcore import hex_layout
 from .errors import ParameterError
 
 # rows materialized at once: 2^20 rows of RM(k,5)-sized tables is ~4 MB
 _BLOCK_LOG2 = 20
+# uint64 words one pass of a batched query XORs against the block: 2 MB
+# passes keep a census below the peak memory of a 2^20-row block walk
+_PASS_WORDS = 1 << 18
 
 
 def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
@@ -34,13 +45,30 @@ def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
     return np.array(tables, dtype=np.uint64).reshape(len(tables), 1)
 
 
+def hex_rows(words: np.ndarray, n: int) -> list[str]:
+    """TruthTable.to_hex of the table in each row of a _to_words matrix."""
+    digits, pad = hex_layout(n)
+    text = (words << np.uint64(pad)).astype(">u8").tobytes().hex()
+    row = 16 * words.shape[1]
+    return [text[end - digits : end] for end in range(row, len(text) + 1, row)]
+
+
+def span_rows(basis: Sequence[int], n: int, ids: np.ndarray) -> np.ndarray:
+    """The span words that ids select, one _to_words row each: bit t of an
+    id selects basis table t."""
+    out = np.zeros((len(ids), max(1, n // 64)), dtype=np.uint64)
+    for t, row in enumerate(_to_words(list(basis), n)):
+        out[(ids >> t) & 1 == 1] ^= row
+    return out
+
+
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Hamming weight of each row of a uint64 matrix (uint8 when each
-    row is one word, int64 otherwise)."""
+    """Hamming weight of each row (last axis) of an unsigned integer
+    array (uint8 when each row is one word, int64 otherwise)."""
     counts = np.bitwise_count(words)
-    if counts.shape[1] == 1:
-        return counts[:, 0]  # summing over one column costs more than the popcount
-    return counts.sum(axis=1, dtype=np.int64)
+    if counts.shape[-1] == 1:
+        return counts[..., 0]  # summing over one column costs more than the popcount
+    return counts.sum(axis=-1, dtype=np.int64)
 
 
 def _span_block(basis_words: np.ndarray, log2_rows: int) -> np.ndarray:
@@ -66,10 +94,10 @@ class SpanCounter:
     the tables it combines, kept as one extra uint64 column.
 
     The low _BLOCK_LOG2 basis tables are materialized once as one block.
-    Each query XORs its offset into that block in place and folds the
+    A query XORs an offset into that block in place and folds the
     remaining basis tables in by Gray-code stepping, one block-wide XOR
-    plus a popcount pass per step; before returning it XORs out whatever
-    it applied, so the block is the same for every query.
+    plus a tally per step; before returning it XORs out whatever it
+    applied, so the block is the same for every query.
     """
 
     def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
@@ -87,28 +115,64 @@ class SpanCounter:
         """Weight histogram (length n+1) of {offset XOR span(basis)}; with
         keys, one such row for each key value s (2^key_bits rows), counting
         the words offset XOR w for the span words w whose key is s."""
+        hist = self._walk(_to_words([offset], self.n)[0], self._tally)
+        return hist.reshape(-1, self.n + 1) if self._key_bits else hist
+
+    def weight_counts(self, offsets: np.ndarray, weight: int) -> np.ndarray:
+        """Number of words of the given weight in {offset XOR span(basis)}
+        for each row offset of a _to_words matrix (keys play no part).
+
+        A pass XORs as many offsets against the block as fit in
+        _PASS_WORDS words, at least one; a pass of one offset XORs it into
+        the block in place instead, with no copy, so a block that fills a
+        pass alone takes no memory beyond itself."""
+        if offsets.ndim != 2 or offsets.shape[1] != self._nwords:
+            raise ParameterError(f"offsets of shape {offsets.shape} are not rows of {self._nwords} words")
+        per_pass = max(1, _PASS_WORDS // self._block.size)
+        counts = np.zeros(len(offsets), dtype=np.int64)
+        for a in range(0, len(offsets), per_pass):
+            part = offsets[a : a + per_pass]
+            alone = len(part) == 1
+            tally = partial(self._count, offsets=None if alone else part, weight=weight)
+            counts[a : a + len(part)] = self._walk(part[0] if alone else 0, tally)
+        return counts
+
+    def _walk(self, offset: np.ndarray | int, tally: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Sum of tally(block) over the block's Gray-fold steps through
+        {offset XOR span(basis)}; the block is restored before returning."""
         block = self._block
         applied = np.zeros(block.shape[1], dtype=np.uint64)
-        applied[: self._nwords] = _to_words([offset], self.n)[0]
-        if offset:
+        applied[: self._nwords] = offset
+        if applied.any():
             block ^= applied
         try:
-            hist = self._tally(block)
+            total = tally(block)
             for j in _gray_flip_sequence(len(self._high)):
                 block ^= self._high[j]
                 applied ^= self._high[j]
-                hist += self._tally(block)
+                total += tally(block)
         finally:
             # a full walk ends with the offset and the top high table applied
             if applied.any():
                 block ^= applied
-        return hist.reshape(-1, self.n + 1) if self._key_bits else hist
+        return total
 
     def _tally(self, block: np.ndarray) -> np.ndarray:
         weights = _popcount_rows(block[:, : self._nwords])
         if self._key_bits:
             weights = block[:, -1].astype(np.intp) * (self.n + 1) + weights
         return np.bincount(weights, minlength=(self.n + 1) << self._key_bits)
+
+    def _count(self, block: np.ndarray, offsets: np.ndarray | None, weight: int) -> np.ndarray:
+        """Words of the given weight in the block (offsets None), or in the
+        block XORed with each offset row."""
+        if offsets is None:
+            return np.array([np.count_nonzero(_popcount_rows(block[:, : self._nwords]) == weight)])
+        words = block[None, :, : self._nwords] ^ offsets[:, None, :]
+        # count_nonzero along an axis costs several times more than a
+        # popcount of the matches packed eight to a byte
+        matches = np.packbits(_popcount_rows(words) == weight, axis=-1)
+        return _popcount_rows(matches).astype(np.int64)
 
 
 def iter_span(basis: Sequence[int], n: int, offset: int = 0) -> Iterator[int]:

@@ -30,6 +30,12 @@ def _check_m(m: int) -> None:
         raise ParameterError(f"variable count m must be in 1..{MAX_M}, got {m!r}")
 
 
+def hex_layout(n: int) -> tuple[int, int]:
+    """(hex digits, low zero padding bits) of an n-bit table's hex string."""
+    digits = max(1, n // 4)
+    return digits, 4 * digits - n
+
+
 @lru_cache(maxsize=None)
 def _variable_pattern(m: int, j: int) -> int:
     """Packed table of the single variable Y_j, built by block doubling."""
@@ -80,15 +86,13 @@ class TruthTable:
         """Hex string, most significant digit first (position 0 is the MSB
         of the first digit).  For m = 1 the low two bits of the single
         digit are zero padding."""
-        w = max(1, self.n // 4)
-        pad = 4 * w - self.n
+        w, pad = hex_layout(self.n)
         return format(self.bits << pad, f"0{w}x")
 
     @classmethod
     def from_hex(cls, m: int, s: str) -> "TruthTable":
         _check_m(m)
-        n = 1 << m
-        w = max(1, n // 4)
+        w, pad = hex_layout(1 << m)
         s = s.strip().lower()
         if len(s) != w:
             raise ParameterError(f"expected {w} hex digits for m={m}, got {len(s)}")
@@ -96,7 +100,6 @@ class TruthTable:
             v = int(s, 16)
         except ValueError as exc:
             raise ParameterError(f"invalid hex string {s!r}") from exc
-        pad = 4 * w - n
         if v & ((1 << pad) - 1):
             raise ParameterError("nonzero padding bits in hex string")
         return cls(m, v >> pad)

@@ -15,8 +15,10 @@ cosets: censuses of balanced counts over coset families, and verdicts for
 A coset's rep combines the unit tables off RM(k,m)'s information set
 (full space) or the degree-(k+1) monomials; its id is the combination.
 
-Brute censuses shard deterministically across worker processes and can
-resume from an append-only, checksummed checkpoint log.  theorem5's
+Brute censuses walk the code's span once per chunk of rep ids, counting
+the balanced words of every rep in the chunk in batched numpy passes;
+chunks shard deterministically across worker processes and can resume
+from an append-only, checksummed checkpoint log.  theorem5's
 transform method, oddweight, equidist and the transform coset
 distribution read every coset's distribution from one walk of the dual
 code (see _dual_table).
@@ -212,7 +214,7 @@ def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = N
     if rep.m != code.m:
         raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
     counter = _code_counter(code, cap, f"counting balanced words in a coset of {code}")
-    return int(counter.weight_histogram(rep.bits)[code.n // 2])
+    return int(counter.weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,15 @@ class CosetCensus:
         return TruthTable(self.code.m, _build_rep(self._basis, rep_id))
 
     def rows(self) -> Iterator[tuple[str, int]]:
-        """(representative hex, balanced count) for every entry, in order."""
-        for rep_id, c in self.entries:
-            yield TruthTable(self.code.m, _build_rep(self._basis, rep_id)).to_hex(), c
+        """(representative hex, balanced count) for every entry, in order;
+        the reps are built one chunk of ids at a time, never all at once."""
+        n = self.code.n
+        # a census chunk of ids, fewer when their reps fill more than a pass
+        step = max(1, min(_CHECKPOINT_CHUNK, _bitenum._PASS_WORDS * 64 // n))
+        for a in range(0, len(self.entries), step):
+            chunk = self.entries[a : a + step]
+            reps = _bitenum.span_rows(self._basis, n, np.array([i for i, _ in chunk]))
+            yield from zip(_bitenum.hex_rows(reps, n), (c for _, c in chunk))
 
     def max_entry(self) -> tuple[int, int]:
         """(first id attaining the max count, that count)."""
@@ -254,9 +262,9 @@ class CosetCensus:
 def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[int]:
     """Balanced counts for rep ids start..stop-1 (id 0 is the code itself),
     from a walker built from the parameters, so it runs in any process."""
-    basis = _rep_basis(code, scope)
+    reps = _bitenum.span_rows(_rep_basis(code, scope), code.n, np.arange(start, stop))
     counter = _bitenum.SpanCounter([t.bits for t in monomial_basis(code)], code.n)
-    return [int(counter.weight_histogram(_build_rep(basis, g))[code.n // 2]) for g in range(start, stop)]
+    return counter.weight_counts(reps, code.n // 2).tolist()
 
 
 # A census log is the header "census <format version 1> <k> <m> <scope>
@@ -499,6 +507,8 @@ def verify_rm1_proposition(
             max_other < bound, bound, max_other, witness, t0,
         )
 
+    if coset_cap is not None:
+        raise ParameterError("a coset cap applies to the exhaustive check; the sampled one counts no cosets")
     if not 2 <= m <= 16:
         raise ParameterError(f"sampled proposition check supports 2 <= m <= 16, got {m}")
     if samples < 1:

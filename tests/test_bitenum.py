@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from rmlab import _bitenum
+from rmlab import _bitenum, harness
+from rmlab.bfcore import TruthTable
+from rmlab.errors import ParameterError
 from rmlab.harness import Scope, census_balanced
 from rmlab.rmcodes import RMParams
 
@@ -100,7 +102,11 @@ def test_multi_bit_keys_match_oracle(monkeypatch, block_log2, n):
             keys = [rng.getrandbits(key_bits) for _ in range(r)]
             counter = _bitenum.SpanCounter(basis, n, keys, key_bits)
             for offset in (0, rng.getrandbits(n)):
-                check_walk(counter, offset, oracle_histogram(basis, n, offset, keys, key_bits))
+                expected = oracle_histogram(basis, n, offset, keys, key_bits)
+                check_walk(counter, offset, expected)
+                # the batched count reads every span word, whatever its key
+                counts = counter.weight_counts(_bitenum._to_words([offset], n), n // 2)
+                assert counts.tolist() == [sum(row[n // 2] for row in expected)]
 
 
 def test_dependent_basis_and_offset_in_span(monkeypatch):
@@ -113,8 +119,75 @@ def test_dependent_basis_and_offset_in_span(monkeypatch):
     check_walk(counter, a, oracle_histogram(basis, 32, a, keys, 3))
 
 
-def test_census_rows_decode_every_entry():
-    for scope in Scope:
-        census = census_balanced(RMParams(1, 4), scope)
-        expected = [(census.rep_table(i).to_hex(), c) for i, c in census.entries]
-        assert list(census.rows()) == expected
+def count_oracle(basis, n, offset):
+    """Weight counts of offset XOR span(basis), by iter_span and int.bit_count."""
+    hist = [0] * (n + 1)
+    for word in _bitenum.iter_span(basis, n, offset):
+        hist[word.bit_count()] += 1
+    return hist
+
+
+@pytest.mark.parametrize("pass_words", [1, 5, 24, None])
+@pytest.mark.parametrize("block_log2", [0, 2, None])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_weight_counts_match_oracle(monkeypatch, n, block_log2, pass_words):
+    # small blocks force the Gray fold; small passes split the 7 offsets
+    # into passes of several offsets and a remainder, or into one each
+    if block_log2 is not None:
+        monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", block_log2)
+    if pass_words is not None:
+        monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
+    rng = random.Random(f"counts:{n}:{block_log2}:{pass_words}")
+    for r in (0, 1, 3, 5):
+        basis = [rng.getrandbits(n) for _ in range(r)]
+        counter = _bitenum.SpanCounter(basis, n)
+        block = counter._block.copy()
+        offsets = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]
+        words = _bitenum._to_words(offsets, n)
+        expected = [count_oracle(basis, n, offset) for offset in offsets]
+        for w in range(n + 1):
+            assert counter.weight_counts(words, w).tolist() == [e[w] for e in expected]
+            assert np.array_equal(counter._block, block)
+        assert counter.weight_counts(words[:0], n // 2).tolist() == []
+    # a row of the wrong width would broadcast into a wrong count
+    for bad in (np.hstack((words, words)), words[0]):
+        with pytest.raises(ParameterError, match="not rows of"):
+            counter.weight_counts(bad, n // 2)
+
+
+def test_span_rows_and_hex_rows_match_the_int_tables():
+    rng = random.Random("rows")
+    for m in range(1, 9):
+        n = 1 << m
+        basis = [rng.getrandbits(n) for _ in range(5)]
+        ids = np.array([0, 31, 5, 16, 7, 5])
+        expected = [harness._build_rep(basis, int(g)) for g in ids]
+        rows = _bitenum.span_rows(basis, n, ids)
+        assert np.array_equal(rows, _bitenum._to_words(expected, n))
+        assert _bitenum.hex_rows(rows, n) == [TruthTable(m, t).to_hex() for t in expected]
+
+
+def check_rows(census):
+    expected = [(census.rep_table(i).to_hex(), c) for i, c in census.entries]
+    assert list(census.rows()) == expected
+
+
+def test_census_rows_decode_every_entry(monkeypatch):
+    pairs = [(0, 1, Scope.FULL_SPACE), (0, 1, Scope.WITHIN_NEXT_ORDER), (1, 1, Scope.FULL_SPACE)]
+    pairs += [(k, 4, scope) for k in (1, 2) for scope in Scope] + [(2, 5, Scope.WITHIN_NEXT_ORDER)]
+    # chunks of 1 and 3 ids start and stop chunks anywhere in the id range
+    for chunk in (1, 3, 4096):
+        monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", chunk)
+        for k, m, scope in pairs:
+            code = RMParams(k, m)
+            if chunk > 1 or len(harness._rep_basis(code, scope)) <= 8:  # skip thousands of 1-id chunks
+                census = census_balanced(code, scope)
+                assert census == harness._dual_census(code, scope)
+                check_rows(census)
+        # m = 7: two-word tables; the dual RM(6,7) is past the cap, so the
+        # counts are checked against the two words rep and rep XOR 1 each coset has
+        census = census_balanced(RMParams(0, 7), Scope.WITHIN_NEXT_ORDER)
+        ones = (1 << 128) - 1
+        for i, c in census.entries:
+            assert c == count_oracle([ones], 128, census.rep_table(i).bits)[64]
+        check_rows(census)

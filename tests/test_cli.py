@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -286,6 +287,25 @@ def test_census_caps(capsys):
 def test_negative_coset_cap_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "coset cap override must be a nonnegative int" in err
+
+
+@pytest.mark.parametrize("mode", [("--sampled",), ()])  # m = 5 samples by default
+def test_sampled_rm1_refuses_a_coset_cap(capsys, mode):
+    for cap in ("-1", "0", "1000"):
+        code, out, err = run(capsys, "verify", "rm1", "-m", "5", *mode, "--samples", "10",
+                             "--coset-cap", cap)
+        assert code == 2 and out == "" and "coset cap applies to the exhaustive check" in err
+
+
+def test_exhaustive_rm1_still_reads_the_coset_cap(capsys):
+    _, plain, _ = run(capsys, "verify", "rm1", "-m", "3", "--exhaustive")
+    code, out, _ = run(capsys, "verify", "rm1", "-m", "3", "--exhaustive", "--coset-cap", "16")
+    elapsed = re.compile(r'"elapsed_ms": \d+')
+    assert code == 0 and elapsed.sub("", out) == elapsed.sub("", plain)
+    code, _, err = run(capsys, "verify", "rm1", "-m", "3", "--exhaustive", "--coset-cap", "15")
+    assert code == 3 and "exceed the coset cap 15" in err
+    code, _, err = run(capsys, "verify", "rm1", "-m", "3", "--exhaustive", "--coset-cap", "-1")
+    assert code == 2 and "coset cap override must be a nonnegative int" in err
 
 
 def test_workers_must_be_positive(capsys):
