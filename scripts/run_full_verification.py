@@ -5,7 +5,7 @@ verdict JSON per line.  Exits 1 if any claim fails.
 The strict maximum runs by brute enumeration at m <= 4 and by the
 dual-side transform at m = 5 and 6 (brute cannot reach m = 6).  RM(2,5),
 the paper's headline pair, is checked both ways: its brute census over
-65535 cosets takes about 8 s.  The odd-weight and equidistribution
+65535 cosets takes 4-8 s on two shared cores.  The odd-weight and equidistribution
 checks read the same dual table, so m = 5 takes milliseconds.
 """
 

@@ -13,7 +13,8 @@ A span is queried for its weight histogram against one offset, or for
 the words of one weight against a batch of offsets: a census reads one
 weight for thousands of coset representatives, so each numpy pass XORs
 as many offsets against the block as fit in _PASS_WORDS words and
-counts matches, with no histogram.
+counts matches, with no histogram; a block that fills a pass alone takes
+one offset at a time, XORed into it in place.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def span_rows(basis: Sequence[int], n: int, ids: np.ndarray) -> np.ndarray:
     for t, row in enumerate(_to_words(list(basis), n)):
         out[(ids >> t) & 1 == 1] ^= row
     return out
+
+
+def span_hex(basis: Sequence[int], n: int, ids: np.ndarray) -> Iterator[str]:
+    """hex_rows of the span words that ids select, built as many at a time
+    as fit in _PASS_WORDS words."""
+    step = max(1, _PASS_WORDS // max(1, n // 64))
+    for a in range(0, len(ids), step):
+        yield from hex_rows(span_rows(basis, n, ids[a : a + step]), n)
 
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
@@ -123,18 +132,19 @@ class SpanCounter:
         for each row offset of a _to_words matrix (keys play no part).
 
         A pass XORs as many offsets against the block as fit in
-        _PASS_WORDS words, at least one; a pass of one offset XORs it into
-        the block in place instead, with no copy, so a block that fills a
-        pass alone takes no memory beyond itself."""
+        _PASS_WORDS words.  A block that fills a pass alone takes one
+        offset at a time, XORed into it in place: a batched pass would
+        copy the whole block at every step."""
         if offsets.ndim != 2 or offsets.shape[1] != self._nwords:
             raise ParameterError(f"offsets of shape {offsets.shape} are not rows of {self._nwords} words")
-        per_pass = max(1, _PASS_WORDS // self._block.size)
+        per_pass = _PASS_WORDS // self._block.size
+        if per_pass <= 1:
+            count = partial(self._count_block, weight=weight)
+            return np.array([self._walk(offset, count) for offset in offsets], dtype=np.int64)
         counts = np.zeros(len(offsets), dtype=np.int64)
         for a in range(0, len(offsets), per_pass):
             part = offsets[a : a + per_pass]
-            alone = len(part) == 1
-            tally = partial(self._count, offsets=None if alone else part, weight=weight)
-            counts[a : a + len(part)] = self._walk(part[0] if alone else 0, tally)
+            counts[a : a + len(part)] = self._walk(0, partial(self._count, offsets=part, weight=weight))
         return counts
 
     def _walk(self, offset: np.ndarray | int, tally: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -163,11 +173,11 @@ class SpanCounter:
             weights = block[:, -1].astype(np.intp) * (self.n + 1) + weights
         return np.bincount(weights, minlength=(self.n + 1) << self._key_bits)
 
-    def _count(self, block: np.ndarray, offsets: np.ndarray | None, weight: int) -> np.ndarray:
-        """Words of the given weight in the block (offsets None), or in the
-        block XORed with each offset row."""
-        if offsets is None:
-            return np.array([np.count_nonzero(_popcount_rows(block[:, : self._nwords]) == weight)])
+    def _count_block(self, block: np.ndarray, weight: int) -> int:
+        return np.count_nonzero(_popcount_rows(block[:, : self._nwords]) == weight)
+
+    def _count(self, block: np.ndarray, offsets: np.ndarray, weight: int) -> np.ndarray:
+        """Words of the given weight in the block XORed with each offset row."""
         words = block[None, :, : self._nwords] ^ offsets[:, None, :]
         # count_nonzero along an axis costs several times more than a
         # popcount of the matches packed eight to a byte

@@ -238,14 +238,9 @@ class CosetCensus:
 
     def rows(self) -> Iterator[tuple[str, int]]:
         """(representative hex, balanced count) for every entry, in order;
-        the reps are built one chunk of ids at a time, never all at once."""
-        n = self.code.n
-        # a census chunk of ids, fewer when their reps fill more than a pass
-        step = max(1, min(_CHECKPOINT_CHUNK, _bitenum._PASS_WORDS * 64 // n))
-        for a in range(0, len(self.entries), step):
-            chunk = self.entries[a : a + step]
-            reps = _bitenum.span_rows(self._basis, n, np.array([i for i, _ in chunk]))
-            yield from zip(_bitenum.hex_rows(reps, n), (c for _, c in chunk))
+        the reps are built a bounded number at a time, never all at once."""
+        ids = np.fromiter((i for i, _ in self.entries), dtype=np.int64, count=len(self.entries))
+        return zip(_bitenum.span_hex(self._basis, self.code.n, ids), (c for _, c in self.entries))
 
     def max_entry(self) -> tuple[int, int]:
         """(first id attaining the max count, that count)."""

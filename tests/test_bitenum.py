@@ -132,7 +132,8 @@ def count_oracle(basis, n, offset):
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
 def test_weight_counts_match_oracle(monkeypatch, n, block_log2, pass_words):
     # small blocks force the Gray fold; small passes split the 7 offsets
-    # into passes of several offsets and a remainder, or into one each
+    # into passes of several offsets and a remainder, or, where the block
+    # fills a pass alone, take them one at a time into the block in place
     if block_log2 is not None:
         monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", block_log2)
     if pass_words is not None:
@@ -155,7 +156,7 @@ def test_weight_counts_match_oracle(monkeypatch, n, block_log2, pass_words):
             counter.weight_counts(bad, n // 2)
 
 
-def test_span_rows_and_hex_rows_match_the_int_tables():
+def test_span_rows_and_hex_rows_match_the_int_tables(monkeypatch):
     rng = random.Random("rows")
     for m in range(1, 9):
         n = 1 << m
@@ -164,7 +165,12 @@ def test_span_rows_and_hex_rows_match_the_int_tables():
         expected = [harness._build_rep(basis, int(g)) for g in ids]
         rows = _bitenum.span_rows(basis, n, ids)
         assert np.array_equal(rows, _bitenum._to_words(expected, n))
-        assert _bitenum.hex_rows(rows, n) == [TruthTable(m, t).to_hex() for t in expected]
+        hexes = [TruthTable(m, t).to_hex() for t in expected]
+        assert _bitenum.hex_rows(rows, n) == hexes
+        # passes of one row, of several rows and a remainder, and of all rows
+        for pass_words in (1, 4, 1 << 18):
+            monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
+            assert list(_bitenum.span_hex(basis, n, ids)) == hexes
 
 
 def check_rows(census):
