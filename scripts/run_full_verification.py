@@ -3,10 +3,13 @@
 verdict JSON per line.  Exits 1 if any claim fails.
 
 The strict maximum runs by brute enumeration at m <= 4 and by the
-dual-side transform at m = 5 and 6 (brute cannot reach m = 6).  RM(2,5),
-the paper's headline pair, is checked both ways: its brute census over
-65535 cosets takes 4-8 s on two shared cores.  The odd-weight and equidistribution
-checks read the same dual table, so m = 5 takes milliseconds.
+dual-side transform at (2,3), at m = 5 and 6 (brute cannot reach m = 6)
+and at (5,7), (6,7), (6,8) and (7,8), the pairs at m = 7 and 8 whose
+cosets fit the default coset cap.  RM(2,5), the paper's headline pair,
+is checked both ways: its brute census over 65535 cosets takes 4-8 s on
+two shared cores.  The conjecture runs by brute census at six pairs with
+m <= 5 and at (1,6).  The odd-weight and equidistribution checks read
+the same dual table, so m = 5 takes milliseconds.
 """
 
 import argparse
@@ -27,10 +30,10 @@ def planned_runs(workers: int):
     yield lambda: verify_theorem_basic(1, 3, workers=workers)
     yield lambda: verify_theorem_basic(2, 4, workers=workers)
     yield lambda: verify_theorem_basic(3, 4, workers=workers)
-    for k, m in [(3, 5), (4, 5), (2, 5), (4, 6), (5, 6)]:
+    for k, m in [(3, 5), (4, 5), (2, 5), (4, 6), (5, 6), (2, 3), (5, 7), (6, 7), (6, 8), (7, 8)]:
         yield lambda k=k, m=m: verify_theorem_basic(k, m, method=Method.TRANSFORM)
     yield lambda: verify_theorem_basic(2, 5, workers=workers)
-    for k, m in [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)]:
+    for k, m in [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (1, 6)]:
         yield lambda k=k, m=m: verify_quotient_conjecture(k, m, workers=workers)
     for m in (3, 4):
         yield lambda m=m: verify_rm1_proposition(m)

@@ -12,11 +12,11 @@ cap; --cap overrides both.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 
-from .bfcore import AnfMonomialSet, TruthTable, tt_from_anf
+from .bfcore import AnfMonomialSet, TruthTable, hex_layout, tt_from_anf
 from .errors import CapExceededError, ExactnessError, ParameterError
 from .harness import (
     Method,
@@ -42,12 +42,19 @@ from .spectral import wht
 from .transforms import macwilliams
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _open_output(output: str | None):
+    """The file to write to: stdout, or the named file opened for writing."""
     if output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _open_output(output) as out:
+        out.write(text)
 
 
 def _two_column(header: tuple[str, str], rows: list[tuple[str, str]]) -> str:
@@ -160,25 +167,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     code = RMParams(args.k, args.m)
-    scope = Scope.FULL_SPACE if args.scope == "full" else Scope.WITHIN_NEXT_ORDER
+    scope = Scope(args.scope)
     census = census_balanced(code, scope, args.workers, args.cap, args.coset_cap, args.checkpoint)
-    if args.format == "csv":
-        buf = io.StringIO()
-        census.to_csv(buf)
-        _emit(buf.getvalue(), args.output)
-    elif args.format == "json":
-        entries = [[rep_hex, str(c)] for rep_hex, c in census.rows()]
-        obj = {
-            "k": args.k,
-            "m": args.m,
-            "scope": scope.name,
-            "code_balanced_count": str(census.code_balanced_count),
-            "entries": entries,
-        }
-        _emit(json.dumps(obj) + "\n", args.output)
-    else:
-        rows = [(rep_hex, str(c)) for rep_hex, c in census.rows()]
-        _emit(_two_column(("rep_hex", "balanced_count"), rows), args.output)
+    # each row is written as it is decoded: a census output can be gigabytes
+    with _open_output(args.output) as out:
+        if args.format == "csv":
+            census.to_csv(out)
+        elif args.format == "json":
+            head = {"k": args.k, "m": args.m, "scope": scope.name,
+                    "code_balanced_count": str(census.code_balanced_count), "entries": []}
+            out.write(json.dumps(head)[:-2])  # all but the closing "]}"
+            # hex and decimal strings need no escapes: each entry is its json.dumps
+            out.writelines(f'{", " if i else ""}["{h}", "{c}"]' for i, (h, c) in enumerate(census.rows()))
+            out.write("]}\n")
+        else:
+            header = ("rep_hex", "balanced_count")
+            top = max((c for _, c in census.entries), default=0)
+            wa = max(len(header[0]), hex_layout(code.n)[0] if census.entries else 0)
+            wb = max(len(header[1]), len(str(top)))
+            out.write(f"{header[0]:>{wa}} {header[1]:>{wb}}\n")
+            out.writelines(f"{a:>{wa}} {b:>{wb}}\n" for a, b in census.rows())
     return 0
 
 

@@ -15,13 +15,14 @@ cosets: censuses of balanced counts over coset families, and verdicts for
 A coset's rep combines the unit tables off RM(k,m)'s information set
 (full space) or the degree-(k+1) monomials; its id is the combination.
 
-Brute censuses walk the code's span once per chunk of rep ids, counting
-the balanced words of every rep in the chunk in batched numpy passes;
-chunks shard deterministically across worker processes and can resume
-from an append-only, checksummed checkpoint log.  theorem5's
-transform method, oddweight, equidist and the transform coset
-distribution read every coset's distribution from one walk of the dual
-code (see _dual_table).
+theorem5, conjecture and exhaustive rm1 scan a sum-checked census for a
+strict maximum (_strict_max).  Brute censuses walk the code's span once
+per chunk of rep ids, counting every rep of the chunk in batched numpy
+passes; chunks shard deterministically across worker processes and can
+resume from an append-only, checksummed checkpoint log.  Exhaustive
+rm1's census is spectral; theorem5's transform method, oddweight,
+equidist and the transform coset distribution read every coset's
+distribution from one walk of the dual code (see _dual_table).
 """
 
 from __future__ import annotations
@@ -130,17 +131,8 @@ def require_workers(workers: int) -> None:
 
 
 def _verdict(claim, params, mode, method, passed, code_count, max_other, witness, t0) -> Verdict:
-    return Verdict(
-        claim=claim,
-        params=params,
-        mode=mode,
-        method=method,
-        passed=passed,
-        code_count=code_count,
-        max_other=max_other,
-        witness=witness,
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-    )
+    elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return Verdict(claim, params, mode, method, passed, code_count, max_other, witness, elapsed_ms)
 
 
 def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
@@ -402,10 +394,13 @@ def _dual_census(
     return _checked_census(code, scope, [central[i] for i in ids], cap)
 
 
-def _census_scan(census: CosetCensus) -> tuple[int, TruthTable | None]:
-    """(largest coset count, first coset reaching the code's count)."""
-    max_other, bad_id = _scan(census.entries, census.code_balanced_count)
-    return max_other, None if bad_id is None else census.rep_table(bad_id)
+def _strict_max(claim, params, mode, method, census: CosetCensus, t0) -> Verdict:
+    """The verdict that the code has more balanced words than every other
+    coset of the census; the witness is the first coset reaching its count."""
+    code_count = census.code_balanced_count
+    max_other, bad_id = _scan(census.entries, code_count)
+    witness = None if bad_id is None else census.rep_table(bad_id)
+    return _verdict(claim, params, mode, method, max_other < code_count, code_count, max_other, witness, t0)
 
 
 def _check_theorem_hypothesis(k: int, m: int) -> None:
@@ -441,11 +436,7 @@ def verify_theorem_basic(
         census = _dual_census(code, Scope.FULL_SPACE, cap, coset_cap)
     else:
         raise ParameterError("theorem verification supports BRUTE or TRANSFORM")
-    max_other, witness = _census_scan(census)
-    return _verdict(
-        "theorem5", params, Mode.EXHAUSTIVE, method, max_other < census.code_balanced_count,
-        census.code_balanced_count, max_other, witness, t0,
-    )
+    return _strict_max("theorem5", params, Mode.EXHAUSTIVE, method, census, t0)
 
 
 def verify_quotient_conjecture(
@@ -463,12 +454,7 @@ def verify_quotient_conjecture(
         raise ParameterError(f"quotient check needs 1 <= k <= m-1, got k={k}, m={m}")
     code = RMParams(k, m)
     census = census_balanced(code, Scope.WITHIN_NEXT_ORDER, workers, cap, coset_cap, checkpoint)
-    code_count = census.code_balanced_count
-    max_other, witness = _census_scan(census)
-    return _verdict(
-        "conjecture", {"k": k, "m": m}, Mode.EMPIRICAL, Method.BRUTE,
-        max_other < code_count, code_count, max_other, witness, t0,
-    )
+    return _strict_max("conjecture", {"k": k, "m": m}, Mode.EMPIRICAL, Method.BRUTE, census, t0)
 
 
 def verify_rm1_proposition(
@@ -479,29 +465,29 @@ def verify_rm1_proposition(
     coset_cap: int | None = None,
 ) -> Verdict:
     """Every nontrivial coset of RM(1,m) has fewer than 2^(m+1)-2
-    balanced words.  Exhaustive over all cosets (m <= 4) or over seeded
-    random non-affine representatives (m <= 16); counts are spectral,
-    cross-checked against brute enumeration at m <= 3."""
+    balanced words.  Exhaustive (m <= 4): the strict-maximum census of
+    spectral counts, checked against the brute one at m <= 3.  Sampled
+    (m <= 16): seeded random non-affine representatives."""
     t0 = time.monotonic()
     if exhaustive is None:
         exhaustive = m <= 4
-    bound = (1 << (m + 1)) - 2
     code = RMParams(1, m)
 
     if exhaustive:
         if m > 4:
             raise ParameterError(f"exhaustive proposition check supports m <= 4, got {m}")
-        reps = list(coset_representatives(code, Scope.FULL_SPACE, coset_cap))
-        counts = _rm1_counts([rep.bits for rep in reps], m)[0].tolist()
-        for rep, c in zip(reps, counts):
-            if m <= 3 and c != balanced_count_of_coset(code, rep):
-                raise ExactnessError(f"spectral/brute disagreement at rep {rep.to_hex()}")
-        max_other, witness = _scan(zip(reps, counts), bound)
-        return _verdict(
-            "rm1", {"m": m}, Mode.EXHAUSTIVE, Method.SPECTRAL,
-            max_other < bound, bound, max_other, witness, t0,
-        )
+        basis = _capped_rep_basis(code, Scope.FULL_SPACE, coset_cap)
+        reps = [_build_rep(basis, g) for g in range(1 << len(basis))]
+        counts = _rm1_counts(reps, m)[0].tolist()
+        census = _checked_census(code, Scope.FULL_SPACE, counts, None)
+        if m <= 3:
+            brute = census_balanced(code, Scope.FULL_SPACE)
+            bad = next((g for g, c in [(0, brute.code_balanced_count), *brute.entries] if c != counts[g]), None)
+            if bad is not None:
+                raise ExactnessError(f"spectral/brute disagreement at rep {TruthTable(m, reps[bad]).to_hex()}")
+        return _strict_max("rm1", {"m": m}, Mode.EXHAUSTIVE, Method.SPECTRAL, census, t0)
 
+    bound = (1 << (m + 1)) - 2
     if coset_cap is not None:
         raise ParameterError("a coset cap applies to the exhaustive check; the sampled one counts no cosets")
     if not 2 <= m <= 16:

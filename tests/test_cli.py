@@ -15,7 +15,8 @@ import rmlab
 from rmlab import cli
 from rmlab.bfcore import TruthTable
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
-from rmlab.harness import Method, Mode, Verdict
+from rmlab.harness import Method, Mode, Scope, Verdict, census_balanced
+from rmlab.rmcodes import RMParams
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -271,6 +272,33 @@ def test_census_json_and_table(capsys):
                        "--format", "table")
     assert code == 0
     assert out.splitlines()[0].split() == ["rep_hex", "balanced_count"]
+
+
+@pytest.mark.parametrize("k, m, scope", [
+    (1, 1, "full"),  # no nontrivial coset: the header alone
+    (0, 1, "full"), (0, 1, "next"),  # one hex digit, padded
+    (1, 4, "full"), (1, 4, "next"),
+    (0, 7, "next"),  # two-word reps; no full-space census at m = 7 is countable
+])
+def test_census_json_and_table_are_the_whole_census(capsys, k, m, scope):
+    census = census_balanced(RMParams(k, m), Scope(scope))
+    rows = list(census.rows())
+    obj = {"k": k, "m": m, "scope": census.scope.name,
+           "code_balanced_count": str(census.code_balanced_count),
+           "entries": [[h, str(c)] for h, c in rows]}
+    argv = ["census", "-k", str(k), "-m", str(m), "--scope", scope, "--format"]
+    assert run(capsys, *argv, "json") == (0, json.dumps(obj) + "\n", "")
+    table = cli._two_column(("rep_hex", "balanced_count"), [(h, str(c)) for h, c in rows])
+    assert run(capsys, *argv, "table") == (0, table, "")
+
+
+def test_failing_census_writes_no_output_file(capsys, tmp_path):
+    log, out_path = tmp_path / "f.log", tmp_path / "out.csv"
+    write_edited_log(log, "FULL_SPACE", [14, 0, 0, 0, 0, 8, 8, 0, 0, 8, 8, 0, 8, 0, 0, 8])
+    code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--checkpoint", str(log),
+                         "--output", str(out_path))
+    assert code == 4 and out == "" and "sum to 62" in err
+    assert not out_path.exists()
 
 
 def test_census_caps(capsys):

@@ -487,6 +487,42 @@ def test_verify_rm1_exhaustive():
         verify_rm1_proposition(5, exhaustive=True)
 
 
+def test_exhaustive_rm1_is_the_k1_strict_maximum_census():
+    rm1 = verify_rm1_proposition(3, exhaustive=True)
+    for method in (Method.BRUTE, Method.TRANSFORM):
+        theorem = verify_theorem_basic(1, 3, method=method)
+        assert (rm1.code_count, rm1.max_other) == (theorem.code_count, theorem.max_other) == (14, 8)
+        assert rm1.passed and theorem.passed and rm1.witness is theorem.witness is None
+
+
+def shifted_rm1_counts(monkeypatch, shifts):
+    """Patch the spectral counts of exhaustive rm1: id g gains shifts[g]."""
+    real = harness._rm1_counts
+
+    def shifted(tables, m):
+        counts, affine = real(tables, m)
+        for g, d in shifts.items():
+            counts[g] += d
+        return counts, affine
+
+    monkeypatch.setattr(harness, "_rm1_counts", shifted)
+
+
+def test_exhaustive_rm1_checks_its_census_sum(monkeypatch):
+    # m = 4 has no brute cross-check: only the C(16,8) sum catches this
+    shifted_rm1_counts(monkeypatch, {1000: 2})
+    with pytest.raises(ExactnessError, match=r"sum to 12872, not C\(16,8\) = 12870"):
+        verify_rm1_proposition(4, exhaustive=True)
+
+
+def test_exhaustive_rm1_names_the_first_rep_the_brute_census_disagrees_on(monkeypatch):
+    # the sum is kept, so only the brute cross-check sees it
+    shifted_rm1_counts(monkeypatch, {9: 2, 5: -2})
+    first = census_balanced(RMParams(1, 3), Scope.FULL_SPACE).rep_table(5).to_hex()
+    with pytest.raises(ExactnessError, match=f"spectral/brute disagreement at rep {first}$"):
+        verify_rm1_proposition(3, exhaustive=True)
+
+
 @pytest.mark.parametrize(
     "m, samples, code_count, max_other",
     # seed 0, as the rejection loop of Moebius membership tests gave them;
