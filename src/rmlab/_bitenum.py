@@ -27,10 +27,10 @@ import numpy as np
 from .bfcore import hex_layout
 from .errors import ParameterError
 
-# rows materialized at once: 2^20 rows of RM(k,5)-sized tables is ~4 MB
+# table words materialized at once: 2^20 one-word rows is 8 MB
 _BLOCK_LOG2 = 20
 # uint64 words one pass of a batched query XORs against the block: 2 MB
-# passes keep a census below the peak memory of a 2^20-row block walk
+# passes keep a census below the peak memory of a 2^20-word block walk
 _PASS_WORDS = 1 << 18
 
 
@@ -102,11 +102,12 @@ class SpanCounter:
     key of key_bits bits; a span word's key is the XOR of the keys of
     the tables it combines, kept as one extra uint64 column.
 
-    The low _BLOCK_LOG2 basis tables are materialized once as one block.
-    A query XORs an offset into that block in place and folds the
-    remaining basis tables in by Gray-code stepping, one block-wide XOR
-    plus a tally per step; before returning it XORs out whatever it
-    applied, so the block is the same for every query.
+    The low basis tables are materialized once as one block of at most
+    2^_BLOCK_LOG2 table words (2^_BLOCK_LOG2 rows of one word).  A query
+    XORs an offset into that block in place and folds the remaining basis
+    tables in by Gray-code stepping, one block-wide XOR plus a tally per
+    step; before returning it XORs out whatever it applied, so the block
+    is the same for every query.
     """
 
     def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
@@ -116,7 +117,7 @@ class SpanCounter:
         self._nwords = words.shape[1]
         if key_bits:
             words = np.column_stack((words, np.array(keys, dtype=np.uint64)))
-        lo = min(len(basis), _BLOCK_LOG2)
+        lo = min(len(basis), max(0, _BLOCK_LOG2 - (self._nwords - 1).bit_length()))
         self._block = _span_block(words, lo)
         self._high = words[lo:]
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bitenum import _to_words
+from ._bitenum import _popcount_rows
 from .bfcore import TruthTable, _check_m
 from .errors import ExactnessError, ParameterError
 
@@ -93,15 +93,21 @@ def wht(f: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(f.m, tuple(wht_many([f.bits], f.m)[0].tolist()))
 
 
-def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
-    """Spectra of packed truth tables, one int32 row each: the _wht_rows of
-    +-1 rows typed for their sums 2^m, unnamed so the kernel can free them."""
+def _spectra(tables: Sequence[int], m: int) -> np.ndarray:
+    """The _wht_rows of packed tables' +-1 rows, unpacked from their
+    big-endian bytes (a table shorter than a byte sits in the low bits),
+    typed for their sums 2^m and unnamed so the kernel can free them."""
     _check_m(m)
-    n = 1 << m
-    words = _to_words(list(tables), n)
-    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)[:, -n:]
     dtype = _exact_float(m, f"the spectrum of a {m}-variable table")
-    return _wht_rows(np.subtract(1, 2 * bits, dtype=dtype)).astype(np.int32)
+    width = max(1, (1 << m) // 8)
+    raw = np.frombuffer(b"".join(t.to_bytes(width, "big") for t in tables), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(tables), width), axis=1)[:, -(1 << m) :]
+    return _wht_rows(np.subtract(1, 2 * bits, dtype=dtype))
+
+
+def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
+    """Spectra of packed truth tables, one int32 row each."""
+    return _spectra(tables, m).astype(np.int32)
 
 
 def parseval_check(s: WalshSpectrum) -> bool:
@@ -123,15 +129,18 @@ def rm1_coset_balanced_count(f: TruthTable) -> int:
 def _rm1_counts(tables: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """Balanced words in each table's coset of RM(1,m), twice its spectral
     zeros (wt(f + x.omega) = (n - W_f(omega))/2, and complementing flips
-    the sign of W), and which tables are affine (|W| = 2^m at some omega).
-    Every spectrum must have |W| <= 2^m and Parseval's sum of W^2 =
-    2^(2m); int64 sums of 2^m squares of at most 2^(2m) check it exactly
-    for m <= 20, and modulo 2^64 above."""
-    spectra = wht_many(tables, m)
+    the sign of W), and which tables are affine (|W| = 2^m at some omega),
+    read from the float spectra in place.  Every spectrum must have
+    |W| <= 2^m and Parseval's sum of W^2 = 2^(2m), summed in a type exact
+    to 2^(2m+1), so m <= 26: rounding of non-negative terms starts only
+    past that limit and never comes back below it, so a wrong sum either
+    stays exact or ends above 2^(2m)."""
     n = 1 << m
-    wide = spectra.astype(np.int64)
-    # initial=0 covers the empty batch (RM(1,1) has no nontrivial coset)
-    if (spectra.max(initial=0) > n or spectra.min(initial=0) < -n
-            or np.any(np.einsum("ij,ij->i", wide, wide) != n * n)):
+    squares = _exact_float(2 * m + 1, f"Parseval's sum at m={m}")
+    spectra = _spectra(tables, m)
+    hi, lo = spectra.max(axis=1), spectra.min(axis=1)
+    if (np.any(hi > n) or np.any(lo < -n)
+            or np.any(np.einsum("ij,ij->i", spectra, spectra, dtype=squares) != n * n)):
         raise ExactnessError(f"a spectrum at m={m} breaks |W| <= 2^m or Parseval")
-    return 2 * np.count_nonzero(spectra == 0, axis=1), np.abs(spectra).max(axis=1) == n
+    zeros = _popcount_rows(np.packbits(spectra == 0, axis=-1)).astype(np.int64)
+    return 2 * zeros, (hi == n) | (lo == -n)

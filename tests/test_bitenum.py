@@ -7,7 +7,7 @@ from rmlab import _bitenum, harness
 from rmlab.bfcore import TruthTable
 from rmlab.errors import ParameterError
 from rmlab.harness import Scope, census_balanced
-from rmlab.rmcodes import RMParams
+from rmlab.rmcodes import RMParams, rm_weight_distribution
 
 
 def oracle_histogram(basis, n, offset=0, keys=None, key_bits=0):
@@ -107,6 +107,29 @@ def test_multi_bit_keys_match_oracle(monkeypatch, block_log2, n):
                 # the batched count reads every span word, whatever its key
                 counts = counter.weight_counts(_bitenum._to_words([offset], n), n // 2)
                 assert counts.tolist() == [sum(row[n // 2] for row in expected)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 1024, 1 << 16])
+def test_block_holds_at_most_block_log2_words(n):
+    # a one-word table keeps 2^_BLOCK_LOG2 rows; a longer one keeps as many
+    # rows as fit in that many words, never fewer than one
+    rng = random.Random(n)
+    nwords = max(1, n // 64)
+    basis = [rng.getrandbits(n) for _ in range(_bitenum._BLOCK_LOG2 + 1)]
+    block = _bitenum.SpanCounter(basis, n)._block
+    assert block.shape[1] == nwords
+    assert block.size == 1 << _bitenum._BLOCK_LOG2
+
+
+@pytest.mark.parametrize("block_log2", [0, 3, 7])
+def test_rm1_distribution_through_folded_multiword_blocks(monkeypatch, block_log2):
+    # RM(1,m): the two constants and 2^(m+1) - 2 words of weight n/2, with
+    # most of its m + 1 basis tables folded in by Gray steps
+    monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", block_log2)
+    for m in (7, 8, 10):
+        n = 1 << m
+        dist = rm_weight_distribution(RMParams(1, m))
+        assert dist.pairs == ((0, 1), (n // 2, (1 << (m + 1)) - 2), (n, 1)), m
 
 
 def test_dependent_basis_and_offset_in_span(monkeypatch):

@@ -553,11 +553,14 @@ def test_sampled_verdict_equals_the_rejection_loop():
             assert v.max_other == running[samples - 1]
 
 
-@pytest.mark.parametrize("m, exhaustive", [(4, True), (5, False)])
+@pytest.mark.parametrize("m, exhaustive", [(4, True), (5, False), (11, False), (12, False)])
 def test_rm1_checks_parseval_on_every_spectrum(monkeypatch, m, exhaustive):
-    bad = spectral._hadamard(m, np.float32).copy()
+    # Parseval's sum runs in float32 up to m = 11 and in float64 from 12;
+    # from m = 7 the transform's first factor is H_64
+    a = min(m, 6)
+    bad = spectral._hadamard(a, np.float32).copy()
     bad[3, 5] = -bad[3, 5]
-    monkeypatch.setitem(spectral._HADAMARD, (m, np.float32), bad)
+    monkeypatch.setitem(spectral._HADAMARD, (a, np.float32), bad)
     with pytest.raises(ExactnessError, match="Parseval"):
         verify_rm1_proposition(m, exhaustive=exhaustive, samples=100)
 

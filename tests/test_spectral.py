@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,58 @@ def test_rm1_count_checks_parseval(monkeypatch):
     monkeypatch.setitem(spectral._HADAMARD, (4, np.float32), bad)
     with pytest.raises(ExactnessError, match="Parseval"):
         rm1_coset_balanced_count(tt_from_anf(AnfMonomialSet.from_str(4, "Y1Y2Y3")))
+
+
+def rm1_counts_oracle(tables: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_rm1_counts from the int32 spectra in int64: twice the zeros, and
+    |W| = 2^m somewhere; every row's squares sum to 2^(2m)."""
+    spectra = wht_many(tables, m).astype(np.int64)
+    n = 1 << m
+    assert np.all(np.einsum("ij,ij->i", spectra, spectra) == n * n)
+    return 2 * np.count_nonzero(spectra == 0, axis=1), np.abs(spectra).max(axis=1, initial=0) == n
+
+
+def test_rm1_counts_equal_the_int64_oracle():
+    rng = random.Random(13)
+    for m in range(1, 14):
+        n = 1 << m
+        ones = (1 << n) - 1
+        linear = [linear_tt(PointVector.from_index(m, rng.randrange(n))).bits for _ in range(4)]
+        # affine rows and their near neighbours, whose spectra peak at 2^m - 2
+        affine = linear + [t ^ ones for t in linear]
+        near = [t ^ (1 << rng.randrange(n)) for t in affine]
+        tables = affine + near + [rng.getrandbits(n) for _ in range(max(1, (1 << 16) // n))]
+        rng.shuffle(tables)
+        for batch in (tables, tables[:1], []):
+            counts, flags = spectral._rm1_counts(batch, m)
+            want_counts, want_flags = rm1_counts_oracle(batch, m)
+            assert np.array_equal(counts, want_counts) and np.array_equal(flags, want_flags), m
+            assert all(flag for t, flag in zip(batch, flags) if t in affine), m
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_parseval_sum_sees_one_unit_past_2_2m(monkeypatch, m):
+    # squares summing to 2^(2m) + 1, which float32 rounds to 2^24 at m = 12:
+    # the sum runs in float32 only while 2^(2m+1) fits its exact integers
+    row = np.zeros((1, 1 << m), dtype=np.float32)
+    row[0, :2] = 1 << m, 1
+    monkeypatch.setattr(spectral, "_spectra", lambda tables, m: row)
+    with pytest.raises(ExactnessError, match="Parseval"):
+        spectral._rm1_counts([0], m)
+
+
+def test_rm1_count_refuses_m_past_float64_parseval():
+    # 2^27 squares of up to 2^54 pass float64's 2^53: refused before any
+    # table is unpacked (the 2^27 +-1 entries alone would be 512 MB)
+    f = TruthTable(27, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactnessError, match=r"Parseval's sum at m=27 may reach 2\^55"):
+            rm1_coset_balanced_count(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_proposition_bound_m3_exhaustive():
