@@ -190,98 +190,104 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_output_args(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "csv", "table")) -> None:
-    p.add_argument("--format", choices=formats, default=formats[0], help="output format")
-    p.add_argument("--output", metavar="PATH", help="write output to a file instead of stdout")
+def _arg(*flags: str, **kw):
+    """One add_argument call, made on the parser given later."""
+    return lambda p: p.add_argument(*flags, **kw)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _wht_source(p: argparse.ArgumentParser) -> None:
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--hex", metavar="HEX", help="truth table as hex")
+    src.add_argument("--anf", metavar="EXPR", help="ANF like Y1Y2+Y3+1 (0 for the zero function)")
+
+
+def _output_args(formats: tuple[str, ...] = ("json", "csv", "table")) -> tuple:
+    return (_arg("--format", choices=formats, default=formats[0], help="output format"),
+            _arg("--output", metavar="PATH", help="write output to a file instead of stdout"))
+
+
+_K, _M = _arg("-k", type=int, required=True), _arg("-m", type=int, required=True)
+_CAP = _arg("--cap", type=int, help="enumeration dimension cap override")
+_CHECKPOINT = _arg("--checkpoint", metavar="PATH", help="resumable census checkpoint log")
+_CLAIM_TAIL = (_arg("--workers", type=int, default=1, help="worker processes for censuses"),
+               _arg("--coset-cap", type=int, help="coset-count cap override"),
+               _arg("--output", metavar="PATH", help="write the verdict JSON to a file"))
+# name -> (help, handler, its arguments in order, or a table of its subcommands)
+_CLAIMS = {
+    "theorem5": ("strict maximum over all cosets of RM(k,m)", _cmd_verify, (
+        _K, _M, _arg("--method", choices=("brute", "transform"), default="brute"),
+        _CAP, _CHECKPOINT, *_CLAIM_TAIL)),
+    "conjecture": ("strict maximum within RM(k+1,m)", _cmd_verify, (_K, _M, _CAP, _CHECKPOINT, *_CLAIM_TAIL)),
+    "rm1": ("first-order coset balanced-count bound", _cmd_verify, (
+        _M,
+        _arg("--exhaustive", action="store_true", help="check every coset (m <= 4)"),
+        _arg("--sampled", action="store_true", help="check random non-affine functions"),
+        _arg("--samples", type=int, default=10_000),
+        _arg("--seed", type=int, default=0),
+        *_CLAIM_TAIL)),
+    "oddweight": ("odd-weight cosets of RM(m-2,m) have no balanced words", _cmd_verify,
+                  (_M, _CAP, *_CLAIM_TAIL)),
+    "equidist": ("cosets of RM(m-2,m) in RM(m-1,m) share one distribution", _cmd_verify,
+                 (_M, _CAP, *_CLAIM_TAIL)),
+}
+_COMMANDS = {
+    "kraw": ("Krawtchouk polynomial values P_j(i;n)", _cmd_kraw, (
+        _arg("--n", type=int, required=True, help="code length n"),
+        _arg("--j", type=int, help="polynomial degree j"),
+        _arg("--central", action="store_true", help="use the central degree j = n/2"),
+        _arg("--i", type=int, help="evaluation point i"),
+        _arg("--all", action="store_true", help="print the whole column i = 0..n"),
+        *_output_args(("table", "json", "csv")))),
+    "weightdist": ("weight distribution of RM(k,m)", _cmd_weightdist, (
+        _arg("-k", type=int, required=True, help="order k"),
+        _arg("-m", type=int, required=True, help="variable count m"),
+        _arg("--method", choices=("brute", "macwilliams"), default="brute"),
+        _CAP, *_output_args())),
+    "cosetdist": ("weight distribution of RM(k,m) + rep", _cmd_cosetdist, (
+        _K, _M, _arg("--rep", required=True, metavar="HEX", help="coset representative, hex truth table"),
+        _arg("--method", choices=("transform", "brute"), default="transform"),
+        _CAP, *_output_args())),
+    "wht": ("Walsh-Hadamard spectrum of a Boolean function", _cmd_wht, (_M, _wht_source, *_output_args())),
+    "verify": ("verify a claim; exit 0 on pass, 1 on fail", _cmd_verify, _CLAIMS),
+    "census": ("balanced-word count of every coset in scope", _cmd_census, (
+        _K, _M, _arg("--scope", choices=("full", "next"), default="full"),
+        _arg("--workers", type=int, default=1),
+        _arg("--checkpoint", metavar="PATH"),
+        _CAP, _arg("--coset-cap", type=int, help="coset-count cap override"),
+        *_output_args(("csv", "json", "table")))),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, argv: list[str]) -> None:
+    """A subparser for the entry of `table` that argv names next, or for
+    every entry when it names none (help, a missing or an unknown name)."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name in [argv[0]] if argv and argv[0] in table else table:
+        help_, func, args = table[name]
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        if isinstance(args, dict):
+            _add_commands(p, "claim", args, argv[1:])
+        else:
+            for arg in args:
+                arg(p)
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: the full tree less the subcommands argv does not name."""
     parser = argparse.ArgumentParser(
         prog="rmlab",
         description="Exact weight distributions of Reed-Muller codes and their cosets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    kraw = sub.add_parser("kraw", help="Krawtchouk polynomial values P_j(i;n)")
-    kraw.add_argument("--n", type=int, required=True, help="code length n")
-    kraw.add_argument("--j", type=int, help="polynomial degree j")
-    kraw.add_argument("--central", action="store_true", help="use the central degree j = n/2")
-    kraw.add_argument("--i", type=int, help="evaluation point i")
-    kraw.add_argument("--all", action="store_true", help="print the whole column i = 0..n")
-    _add_output_args(kraw, ("table", "json", "csv"))
-    kraw.set_defaults(func=_cmd_kraw)
-
-    wd = sub.add_parser("weightdist", help="weight distribution of RM(k,m)")
-    wd.add_argument("-k", type=int, required=True, help="order k")
-    wd.add_argument("-m", type=int, required=True, help="variable count m")
-    wd.add_argument("--method", choices=("brute", "macwilliams"), default="brute")
-    wd.add_argument("--cap", type=int, help="enumeration dimension cap override")
-    _add_output_args(wd)
-    wd.set_defaults(func=_cmd_weightdist)
-
-    cd = sub.add_parser("cosetdist", help="weight distribution of RM(k,m) + rep")
-    cd.add_argument("-k", type=int, required=True)
-    cd.add_argument("-m", type=int, required=True)
-    cd.add_argument("--rep", required=True, metavar="HEX", help="coset representative, hex truth table")
-    cd.add_argument("--method", choices=("transform", "brute"), default="transform")
-    cd.add_argument("--cap", type=int, help="enumeration dimension cap override")
-    _add_output_args(cd)
-    cd.set_defaults(func=_cmd_cosetdist)
-
-    wh = sub.add_parser("wht", help="Walsh-Hadamard spectrum of a Boolean function")
-    wh.add_argument("-m", type=int, required=True)
-    src = wh.add_mutually_exclusive_group(required=True)
-    src.add_argument("--hex", metavar="HEX", help="truth table as hex")
-    src.add_argument("--anf", metavar="EXPR", help="ANF like Y1Y2+Y3+1 (0 for the zero function)")
-    _add_output_args(wh)
-    wh.set_defaults(func=_cmd_wht)
-
-    ver = sub.add_parser("verify", help="verify a claim; exit 0 on pass, 1 on fail")
-    claims = ver.add_subparsers(dest="claim", required=True)
-
-    t5 = claims.add_parser("theorem5", help="strict maximum over all cosets of RM(k,m)")
-    t5.add_argument("-k", type=int, required=True)
-    t5.add_argument("-m", type=int, required=True)
-    t5.add_argument("--method", choices=("brute", "transform"), default="brute")
-    conj = claims.add_parser("conjecture", help="strict maximum within RM(k+1,m)")
-    conj.add_argument("-k", type=int, required=True)
-    conj.add_argument("-m", type=int, required=True)
-    rm1 = claims.add_parser("rm1", help="first-order coset balanced-count bound")
-    rm1.add_argument("-m", type=int, required=True)
-    rm1.add_argument("--exhaustive", action="store_true", help="check every coset (m <= 4)")
-    rm1.add_argument("--sampled", action="store_true", help="check random non-affine functions")
-    rm1.add_argument("--samples", type=int, default=10_000)
-    rm1.add_argument("--seed", type=int, default=0)
-    odd = claims.add_parser("oddweight", help="odd-weight cosets of RM(m-2,m) have no balanced words")
-    odd.add_argument("-m", type=int, required=True)
-    eq = claims.add_parser("equidist", help="cosets of RM(m-2,m) in RM(m-1,m) share one distribution")
-    eq.add_argument("-m", type=int, required=True)
-    for sp in (t5, conj, odd, eq):
-        sp.add_argument("--cap", type=int, help="enumeration dimension cap override")
-        if sp in (t5, conj):
-            sp.add_argument("--checkpoint", metavar="PATH", help="resumable census checkpoint log")
-    for sp in (t5, conj, rm1, odd, eq):
-        sp.add_argument("--workers", type=int, default=1, help="worker processes for censuses")
-        sp.add_argument("--coset-cap", type=int, help="coset-count cap override")
-        sp.add_argument("--output", metavar="PATH", help="write the verdict JSON to a file")
-        sp.set_defaults(func=_cmd_verify)
-
-    cen = sub.add_parser("census", help="balanced-word count of every coset in scope")
-    cen.add_argument("-k", type=int, required=True)
-    cen.add_argument("-m", type=int, required=True)
-    cen.add_argument("--scope", choices=("full", "next"), default="full")
-    cen.add_argument("--workers", type=int, default=1)
-    cen.add_argument("--checkpoint", metavar="PATH")
-    cen.add_argument("--cap", type=int, help="enumeration dimension cap override")
-    cen.add_argument("--coset-cap", type=int, help="coset-count cap override")
-    _add_output_args(cen, ("csv", "json", "table"))
-    cen.set_defaults(func=_cmd_census)
-
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = _build_parser(argv).parse_known_args(argv)
+    if extra:  # the full parser's error: its usage line lists every command
+        _build_parser([]).parse_args(argv)
     try:
         with unlimited_int_digits():
             return args.func(args)

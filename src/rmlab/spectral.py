@@ -107,6 +107,9 @@ def _spectra(tables: Sequence[int], m: int) -> np.ndarray:
 
 def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
     """Spectra of packed truth tables, one int32 row each."""
+    _check_m(m)
+    if any(t < 0 or t >> (1 << m) for t in tables):
+        raise ParameterError(f"a table is negative or wider than 2^{m} bits")
     return _spectra(tables, m).astype(np.int32)
 
 

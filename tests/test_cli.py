@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import json
 import os
 import re
@@ -44,6 +46,97 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subcommands(parser):
+    """name -> subparser of a built parser; empty for a leaf command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def subparser(parser, *path):
+    for name in path:
+        parser = subcommands(parser)[name]
+    return parser
+
+
+def leaf_paths(parser, path=()):
+    children = subcommands(parser)
+    if not children:
+        yield path
+    for name, child in children.items():
+        yield from leaf_paths(child, (*path, name))
+
+
+# a command line for every command path that sets each of its options
+COMMAND_LINES = {
+    ("kraw",): ["--n", "8", "--central", "--all", "--format", "csv", "--output", "o"],
+    ("weightdist",): ["-k", "1", "-m", "3", "--method", "macwilliams", "--cap", "9", "--format", "table"],
+    ("cosetdist",): ["-k", "1", "-m", "3", "--rep", "03", "--method", "brute", "--cap", "9", "--output", "o"],
+    ("wht",): ["-m", "2", "--anf", "Y1Y2", "--format", "csv"],
+    ("verify", "theorem5"): ["-k", "2", "-m", "4", "--method", "transform", "--cap", "9",
+                             "--checkpoint", "c", "--workers", "2", "--coset-cap", "7", "--output", "o"],
+    ("verify", "conjecture"): ["-k", "1", "-m", "3", "--cap", "9", "--checkpoint", "c",
+                               "--workers", "2", "--coset-cap", "7", "--output", "o"],
+    ("verify", "rm1"): ["-m", "5", "--sampled", "--samples", "10", "--seed", "3",
+                        "--workers", "2", "--coset-cap", "7", "--output", "o"],
+    ("verify", "oddweight"): ["-m", "3", "--cap", "9", "--workers", "2", "--coset-cap", "7", "--output", "o"],
+    ("verify", "equidist"): ["-m", "3", "--cap", "9", "--workers", "2", "--coset-cap", "7", "--output", "o"],
+    ("census",): ["-k", "1", "-m", "3", "--scope", "next", "--workers", "2", "--checkpoint", "c",
+                  "--cap", "9", "--coset-cap", "7", "--format", "json", "--output", "o"],
+}
+
+
+def test_command_lines_cover_every_command_path():
+    assert set(leaf_paths(cli._build_parser([]))) == set(COMMAND_LINES)
+
+
+@pytest.mark.parametrize("path", COMMAND_LINES, ids=" ".join)
+def test_parser_for_one_command_equals_the_full_parser(path):
+    argv = [*path, *COMMAND_LINES[path]]
+    lazy, full = cli._build_parser(argv), cli._build_parser([])
+    assert list(leaf_paths(lazy)) == [path]
+    assert subparser(lazy, *path).format_help() == subparser(full, *path).format_help()
+    assert lazy.parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nosuch"], ["verify"], ["verify", "--help"], ["verify", "nosuch"],
+    ["weightdist", "-k", "1", "-m", "3", "extra"],  # unrecognized: the top-level usage
+    ["verify", "rm1", "-m", "3", "--cap", "0"],
+])
+def test_help_and_usage_errors_are_the_full_parsers(capsys, monkeypatch, argv):
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        return exc.value.code, *capsys.readouterr()
+
+    lazy = outcome()
+    assert lazy[0] == (0 if "--help" in argv else 2) and lazy[1] + lazy[2]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    assert outcome() == lazy
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["weightdist", "-k", "1", "-m", "3"], 2),
+    (["verify", "theorem5", "-k", "1", "-m", "3"], 3),
+    (["--help"], 12),
+])
+def test_only_the_named_subparsers_are_built(capsys, monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with contextlib.suppress(SystemExit):
+        cli.main(argv)
+    assert len(built) == parsers
 
 
 def test_kraw_single_values(capsys):

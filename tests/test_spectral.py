@@ -347,3 +347,16 @@ def test_one_table_equals_its_batch_row_and_the_definition(data):
     for bits, row in zip(tables, batch):
         assert list(wht(TruthTable(m, bits)).values) == row.tolist()
     assert batch[0].tolist() == wht_definitional(TruthTable(m, tables[0]))
+
+
+@pytest.mark.parametrize("tables, m", [([5], 1), ([300], 3), ([-1], 3), ([0, 1 << 8], 3)])
+def test_wht_many_refuses_tables_that_do_not_fit(tables, m):
+    with pytest.raises(ParameterError):
+        wht_many(tables, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_wht_many_accepts_every_width_up_to_2_m_bits(m):
+    full = (1 << (1 << m)) - 1
+    tables = [0, 1, full, random.Random(m).getrandbits(1 << m)]
+    assert wht_many(tables, m).tolist() == [wht_definitional(TruthTable(m, t)) for t in tables]
