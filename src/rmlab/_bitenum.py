@@ -15,6 +15,12 @@ weight for thousands of coset representatives, so each numpy pass XORs
 as many offsets against the block as fit in _PASS_WORDS words and
 counts matches, with no histogram; a block that fills a pass alone takes
 one offset at a time, XORed into it in place.
+
+Every Reed-Muller code RM(k,m) with k >= 0 holds the all-ones word, and
+adding it maps a coset word of weight w to one of weight n - w.  So a
+counter takes that table out of its basis, walks the span of the rest
+(half the words) and adds each walked word's complement back into the
+tallies exactly.
 """
 
 from __future__ import annotations
@@ -102,18 +108,28 @@ class SpanCounter:
     key of key_bits bits; a span word's key is the XOR of the keys of
     the tables it combines, kept as one extra uint64 column.
 
-    The low basis tables are materialized once as one block of at most
-    2^_BLOCK_LOG2 table words (2^_BLOCK_LOG2 rows of one word).  A query
-    XORs an offset into that block in place and folds the remaining basis
-    tables in by Gray-code stepping, one block-wide XOR plus a tally per
-    step; before returning it XORs out whatever it applied, so the block
-    is the same for every query.
+    A basis table equal to the all-ones word is taken out of the basis
+    (its key kept): the walk covers the span of the other tables, and each
+    word x it reaches stands for x and x XOR 1, of weight n - wt(x) and
+    key key(x) XOR key(1).  The low basis tables are materialized once as
+    one block of at most 2^_BLOCK_LOG2 table words (2^_BLOCK_LOG2 rows of
+    one word).  A query XORs an offset into that block in place and folds
+    the remaining basis tables in by Gray-code stepping, one block-wide
+    XOR plus a tally per step; before returning it XORs out whatever it
+    applied, so the block is the same for every query.
     """
 
     def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
         self.n = n
         self._key_bits = key_bits
-        words = _to_words(list(basis), n)
+        basis, keys = list(basis), list(keys)
+        # the all-ones table's key, or None when the basis has no such table
+        self._ones_key = None
+        if (1 << n) - 1 in basis:
+            i = basis.index((1 << n) - 1)
+            del basis[i]
+            self._ones_key = int(keys.pop(i)) if key_bits else 0
+        words = _to_words(basis, n)
         self._nwords = words.shape[1]
         if key_bits:
             words = np.column_stack((words, np.array(keys, dtype=np.uint64)))
@@ -125,8 +141,10 @@ class SpanCounter:
         """Weight histogram (length n+1) of {offset XOR span(basis)}; with
         keys, one such row for each key value s (2^key_bits rows), counting
         the words offset XOR w for the span words w whose key is s."""
-        hist = self._walk(_to_words([offset], self.n)[0], self._tally)
-        return hist.reshape(-1, self.n + 1) if self._key_bits else hist
+        hist = self._walk(_to_words([offset], self.n)[0], self._tally).reshape(-1, self.n + 1)
+        if self._ones_key is not None:
+            self._add_complements(hist)
+        return hist if self._key_bits else hist[0]
 
     def weight_counts(self, offsets: np.ndarray, weight: int) -> np.ndarray:
         """Number of words of the given weight in {offset XOR span(basis)}
@@ -135,18 +153,23 @@ class SpanCounter:
         A pass XORs as many offsets against the block as fit in
         _PASS_WORDS words.  A block that fills a pass alone takes one
         offset at a time, XORed into it in place: a batched pass would
-        copy the whole block at every step."""
+        copy the whole block at every step.
+
+        With the all-ones table folded out, the walk counts the words of
+        weight `weight` or n - weight, and doubles the count when the two
+        are equal."""
         if offsets.ndim != 2 or offsets.shape[1] != self._nwords:
             raise ParameterError(f"offsets of shape {offsets.shape} are not rows of {self._nwords} words")
+        scale = 2 if self._ones_key is not None and 2 * weight == self.n else 1
         per_pass = _PASS_WORDS // self._block.size
         if per_pass <= 1:
             count = partial(self._count_block, weight=weight)
-            return np.array([self._walk(offset, count) for offset in offsets], dtype=np.int64)
+            return scale * np.array([self._walk(offset, count) for offset in offsets], dtype=np.int64)
         counts = np.zeros(len(offsets), dtype=np.int64)
         for a in range(0, len(offsets), per_pass):
             part = offsets[a : a + per_pass]
             counts[a : a + len(part)] = self._walk(0, partial(self._count, offsets=part, weight=weight))
-        return counts
+        return scale * counts
 
     def _walk(self, offset: np.ndarray | int, tally: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Sum of tally(block) over the block's Gray-fold steps through
@@ -174,15 +197,39 @@ class SpanCounter:
             weights = block[:, -1].astype(np.intp) * (self.n + 1) + weights
         return np.bincount(weights, minlength=(self.n + 1) << self._key_bits)
 
+    def _add_complements(self, hist: np.ndarray) -> None:
+        """hist[s, w] += hist[s ^ key(1), n - w] in place.  The rows go in
+        aligned chunks of 2^low rows, a bounded number of words: chunk c
+        pairs with chunk c ^ (key(1) >> low), and within a chunk, XOR with
+        the low key bits reverses those bits' axes of a (2,)*low view."""
+        key, n = self._ones_key, self.n
+        low = min(self._key_bits, max(0, (_PASS_WORDS // (n + 1)).bit_length() - 1))
+        flip = tuple(slice(None, None, -1 if key >> i & 1 else 1) for i in reversed(range(low)))
+        chunks = hist.reshape(-1, *(2,) * low, n + 1)
+        for c in range(len(chunks)):
+            d = c ^ (key >> low)
+            if c <= d:
+                chunks[c] += chunks[d][flip][..., ::-1]
+                chunks[d] = chunks[c][flip][..., ::-1]
+
+    def _hits(self, words: np.ndarray, weight: int) -> np.ndarray:
+        """Rows of the given weight, or with the all-ones table folded out,
+        of weight n - weight."""
+        weights = _popcount_rows(words)
+        hits = weights == weight
+        if self._ones_key is not None and 2 * weight != self.n:
+            hits |= weights == self.n - weight
+        return hits
+
     def _count_block(self, block: np.ndarray, weight: int) -> int:
-        return np.count_nonzero(_popcount_rows(block[:, : self._nwords]) == weight)
+        return np.count_nonzero(self._hits(block[:, : self._nwords], weight))
 
     def _count(self, block: np.ndarray, offsets: np.ndarray, weight: int) -> np.ndarray:
-        """Words of the given weight in the block XORed with each offset row."""
+        """Rows that _hits matches in the block XORed with each offset row."""
         words = block[None, :, : self._nwords] ^ offsets[:, None, :]
         # count_nonzero along an axis costs several times more than a
         # popcount of the matches packed eight to a byte
-        matches = np.packbits(_popcount_rows(words) == weight, axis=-1)
+        matches = np.packbits(self._hits(words, weight), axis=-1)
         return _popcount_rows(matches).astype(np.int64)
 
 

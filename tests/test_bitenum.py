@@ -7,7 +7,7 @@ from rmlab import _bitenum, harness
 from rmlab.bfcore import TruthTable
 from rmlab.errors import ParameterError
 from rmlab.harness import Scope, census_balanced
-from rmlab.rmcodes import RMParams, rm_weight_distribution
+from rmlab.rmcodes import RMParams, monomial_basis, rm_weight_distribution
 
 
 def oracle_histogram(basis, n, offset=0, keys=None, key_bits=0):
@@ -177,6 +177,60 @@ def test_weight_counts_match_oracle(monkeypatch, n, block_log2, pass_words):
     for bad in (np.hstack((words, words)), words[0]):
         with pytest.raises(ParameterError, match="not rows of"):
             counter.weight_counts(bad, n // 2)
+
+
+def bases_with_ones(rng, n):
+    """Bases holding the all-ones table at a random position: alone, once
+    beside random tables, twice (a dependent basis) and beside a longer
+    random basis."""
+    bases = []
+    for extra, copies in ((0, 1), (3, 1), (3, 2), (5, 1)):
+        basis = [rng.getrandbits(n) for _ in range(extra)]
+        for _ in range(copies):
+            basis.insert(rng.randrange(len(basis) + 1), (1 << n) - 1)
+        bases.append(basis)
+    return bases
+
+
+@pytest.mark.parametrize("pass_words", [5, 24, None])
+@pytest.mark.parametrize("block_log2", [0, 2, None])
+@pytest.mark.parametrize("n", [2, 8, 32, 64, 128])
+def test_all_ones_fold_matches_oracles(monkeypatch, n, block_log2, pass_words):
+    # the walk skips the all-ones table and adds each word's complement
+    # back: weight n - w, and key XORed with the all-ones table's key;
+    # small passes pair the histogram rows in chunks of one row or, at
+    # n = 8 and 24 words, of two rows of a 3-bit key
+    if block_log2 is not None:
+        monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", block_log2)
+    if pass_words is not None:
+        monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
+    rng = random.Random(f"fold:{n}:{block_log2}:{pass_words}")
+    ones = (1 << n) - 1
+    for basis in bases_with_ones(rng, n):
+        for key_bits in (0, 1, 3):
+            keys = [rng.getrandbits(key_bits) for _ in basis]
+            if key_bits:
+                keys[basis.index(ones)] = rng.randrange(1, 1 << key_bits)
+            counter = _bitenum.SpanCounter(basis, n, keys, key_bits)
+            assert len(counter._block) * (1 << len(counter._high)) == 1 << (len(basis) - 1)
+            offsets = [0, ones] + [rng.getrandbits(n) for _ in range(3)]
+            for offset in offsets:
+                expected = oracle_histogram(basis, n, offset, keys, key_bits)
+                check_walk(counter, offset, expected if key_bits else expected[0])
+            block = counter._block.copy()
+            words = _bitenum._to_words(offsets, n)
+            expected = [count_oracle(basis, n, offset) for offset in offsets]
+            for w in range(n + 1):
+                assert counter.weight_counts(words, w).tolist() == [e[w] for e in expected], w
+                assert np.array_equal(counter._block, block)
+
+
+def test_code_walk_folds_out_the_constant():
+    # RM(2,5) has 16 basis tables; without the fold its block would hold
+    # all 2^16 words
+    counter = _bitenum.SpanCounter([t.bits for t in monomial_basis(RMParams(2, 5))], 32)
+    assert counter._block.shape == (1 << 15, 1)
+    assert len(counter._high) == 0
 
 
 def test_span_rows_and_hex_rows_match_the_int_tables(monkeypatch):
