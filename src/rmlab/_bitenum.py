@@ -52,12 +52,12 @@ def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
     return np.array(tables, dtype=np.uint64).reshape(len(tables), 1)
 
 
-def hex_rows(words: np.ndarray, n: int) -> list[str]:
-    """TruthTable.to_hex of the table in each row of a _to_words matrix."""
+def hex_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """TruthTable.to_hex of the table in each row of a _to_words matrix,
+    as a (rows, hex digits) uint8 array of ASCII digits."""
     digits, pad = hex_layout(n)
-    text = (words << np.uint64(pad)).astype(">u8").tobytes().hex()
-    row = 16 * words.shape[1]
-    return [text[end - digits : end] for end in range(row, len(text) + 1, row)]
+    text = (words << np.uint64(pad)).astype(">u8").tobytes().hex().encode()
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(words), -1)[:, -digits:]
 
 
 def span_rows(basis: Sequence[int], n: int, ids: np.ndarray) -> np.ndarray:
@@ -67,14 +67,6 @@ def span_rows(basis: Sequence[int], n: int, ids: np.ndarray) -> np.ndarray:
     for t, row in enumerate(_to_words(list(basis), n)):
         out[(ids >> t) & 1 == 1] ^= row
     return out
-
-
-def span_hex(basis: Sequence[int], n: int, ids: np.ndarray) -> Iterator[str]:
-    """hex_rows of the span words that ids select, built as many at a time
-    as fit in _PASS_WORDS words."""
-    step = max(1, _PASS_WORDS // max(1, n // 64))
-    for a in range(0, len(ids), step):
-        yield from hex_rows(span_rows(basis, n, ids[a : a + step]), n)
 
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
@@ -195,6 +187,10 @@ class SpanCounter:
         weights = _popcount_rows(block[:, : self._nwords])
         if self._key_bits:
             weights = block[:, -1].astype(np.intp) * (self.n + 1) + weights
+        elif weights.dtype == np.uint8 and len(weights) % 2 == 0:
+            # one bin per pair of uint8 weights: half the rows to count
+            pairs = np.bincount(weights.view(np.uint16), minlength=1 << 16).reshape(256, 256)
+            return (pairs.sum(0) + pairs.sum(1))[: self.n + 1]
         return np.bincount(weights, minlength=(self.n + 1) << self._key_bits)
 
     def _add_complements(self, hist: np.ndarray) -> None:

@@ -169,24 +169,26 @@ def _cmd_census(args: argparse.Namespace) -> int:
     code = RMParams(args.k, args.m)
     scope = Scope(args.scope)
     census = census_balanced(code, scope, args.workers, args.cap, args.coset_cap, args.checkpoint)
-    # each row is written as it is decoded: a census output can be gigabytes
+    # rows are written a chunk at a time: a census output can be gigabytes
+    counts = [str(c) for c in census.counts]
     with _open_output(args.output) as out:
         if args.format == "csv":
-            census.to_csv(out)
+            out.write("rep_hex,balanced_count\n")
+            out.writelines(census.text_chunks("", [f",{c}\n" for c in counts]))
         elif args.format == "json":
             head = {"k": args.k, "m": args.m, "scope": scope.name,
                     "code_balanced_count": str(census.code_balanced_count), "entries": []}
             out.write(json.dumps(head)[:-2])  # all but the closing "]}"
             # hex and decimal strings need no escapes: each entry is its json.dumps
-            out.writelines(f'{", " if i else ""}["{h}", "{c}"]' for i, (h, c) in enumerate(census.rows()))
+            chunks = census.text_chunks(', ["', [f'", "{c}"]' for c in counts])
+            out.write(next(chunks, "")[2:])  # the first entry has no separator
+            out.writelines(chunks)
             out.write("]}\n")
         else:
-            header = ("rep_hex", "balanced_count")
-            top = max((c for _, c in census.entries), default=0)
-            wa = max(len(header[0]), hex_layout(code.n)[0] if census.entries else 0)
-            wb = max(len(header[1]), len(str(top)))
-            out.write(f"{header[0]:>{wa}} {header[1]:>{wb}}\n")
-            out.writelines(f"{a:>{wa}} {b:>{wb}}\n" for a, b in census.rows())
+            digits = hex_layout(code.n)[0] if len(census.classes) > 1 else 0
+            wa, wb = max(len("rep_hex"), digits), max(len("balanced_count"), len(str(census.max_other)))
+            out.write(f"{'rep_hex':>{wa}} {'balanced_count':>{wb}}\n")
+            out.writelines(census.text_chunks(" " * (wa - digits), [f" {c:>{wb}}\n" for c in counts]))
     return 0
 
 

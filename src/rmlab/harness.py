@@ -38,12 +38,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import _bitenum, transforms
-from .bfcore import TruthTable
+from .bfcore import TruthTable, hex_layout
 from .errors import CapExceededError, ExactnessError, ParameterError
 from .rmcodes import (
     RMParams,
@@ -111,19 +111,6 @@ class Verdict:
         }
 
 
-def _scan(counts: Iterable[tuple[object, int]], bound: int) -> tuple[int, object | None]:
-    """(largest count, first item whose count reaches bound) over
-    (item, count) pairs; the largest count of no pairs is 0."""
-    best = 0
-    first = None
-    for item, c in counts:
-        if c > best:
-            best = c
-        if first is None and c >= bound:
-            first = item
-    return best, first
-
-
 def require_workers(workers: int) -> None:
     """Raise ParameterError unless the worker count is at least 1."""
     if workers < 1:
@@ -142,8 +129,7 @@ def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
     degree-(k+1) monomials (WITHIN_NEXT_ORDER)."""
     if scope is Scope.FULL_SPACE:
         pivots = set(pivot_positions(code))
-        n = code.n
-        return [1 << (n - 1 - pos) for pos in range(n) if pos not in pivots]
+        return [1 << (code.n - 1 - pos) for pos in range(code.n) if pos not in pivots]
     degree = _next_degree(code)
     return [t.bits for t in monomial_basis(RMParams(degree, code.m), lowest=degree)]
 
@@ -155,14 +141,10 @@ def _next_degree(code: RMParams) -> int:
 
 
 def _build_rep(basis: list[int], rep_id: int) -> int:
+    """XOR of the basis tables that the bits of rep_id select."""
     bits = 0
-    t = 0
-    g = rep_id
-    while g:
-        if g & 1:
-            bits ^= basis[t]
-        g >>= 1
-        t += 1
+    for t in range(rep_id.bit_length()):
+        bits ^= basis[t] if rep_id >> t & 1 else 0
     return bits
 
 
@@ -171,10 +153,7 @@ def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> lis
     coset cap: its tables have 2^m bits each, too many to build first."""
     if override is not None and (not isinstance(override, int) or override < 0):
         raise ParameterError(f"coset cap override must be a nonnegative int, got {override!r}")
-    if scope is Scope.FULL_SPACE:
-        dim = code.n - code.dimension
-    else:
-        dim = comb(code.m, _next_degree(code))
+    dim = code.n - code.dimension if scope is Scope.FULL_SPACE else comb(code.m, _next_degree(code))
     limit = DEFAULT_COSET_CAPS[scope] if override is None else override
     if (1 << dim) > limit:
         # 2^dim, not its decimal digits: those pass int -> str's limit from m = 14
@@ -182,9 +161,7 @@ def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> lis
     return _rep_basis(code, scope)
 
 
-def coset_representatives(
-    code: RMParams, scope: Scope, coset_cap: int | None = None
-):
+def coset_representatives(code: RMParams, scope: Scope, coset_cap: int | None = None):
     """One representative per nontrivial coset: nonzero vectors on the
     positions u with popcount(u) > k (FULL_SPACE) or nonzero combinations
     of the degree-(k+1) monomials (WITHIN_NEXT_ORDER), in counting order
@@ -209,15 +186,40 @@ def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = N
     return int(counter.weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetCensus:
-    """Balanced-word counts for every nontrivial coset in scope; entry
-    ids decode through the same representative basis order."""
+    """Balanced-word counts of the code (id 0) and every nontrivial coset
+    in scope: id g's count is counts[classes[g]], with classes a numpy int
+    array and counts one exact Python int per class.  Ids decode through
+    the representative basis order (rep_table)."""
 
     code: RMParams
     scope: Scope
-    entries: tuple[tuple[int, int], ...]
-    code_balanced_count: int
+    classes: np.ndarray
+    counts: tuple[int, ...]
+
+    @property
+    def code_balanced_count(self) -> int:
+        return self.counts[self.classes[0]]
+
+    @cached_property
+    def max_other(self) -> int:
+        """The largest count of a nontrivial coset (0 when there is none)."""
+        seen = np.bincount(self.classes[1:], minlength=len(self.counts)).tolist()
+        return max((c for c, k in zip(self.counts, seen) if k), default=0)
+
+    def id_counts(self) -> list[int]:
+        return list(map(self.counts.__getitem__, self.classes.tolist()))
+
+    @property
+    def entries(self) -> list[tuple[int, int]]:
+        """(id, count) of every nontrivial coset, built on demand (perfbench's tracer counts it)."""
+        return list(enumerate(self.id_counts()))[1:]
+
+    def __eq__(self, other: object) -> bool:
+        """Same space and the same count at every id, whatever the class labels."""
+        key = (self.code, self.scope, self.id_counts())
+        return isinstance(other, CosetCensus) and key == (other.code, other.scope, other.id_counts())
 
     @cached_property
     def _basis(self) -> list[int]:
@@ -228,22 +230,23 @@ class CosetCensus:
             raise ParameterError(f"rep id {rep_id} out of range")
         return TruthTable(self.code.m, _build_rep(self._basis, rep_id))
 
-    def rows(self) -> Iterator[tuple[str, int]]:
-        """(representative hex, balanced count) for every entry, in order;
-        the reps are built a bounded number at a time, never all at once."""
-        ids = np.fromiter((i for i, _ in self.entries), dtype=np.int64, count=len(self.entries))
-        return zip(_bitenum.span_hex(self._basis, self.code.n, ids), (c for _, c in self.entries))
-
-    def max_entry(self) -> tuple[int, int]:
-        """(first id attaining the max count, that count)."""
-        if not self.entries:
-            raise ParameterError("census has no nontrivial cosets")
-        return max(self.entries, key=lambda entry: entry[1])
-
-    def to_csv(self, fileobj) -> None:
-        fileobj.write("rep_hex,balanced_count\n")
-        for rep_hex, c in self.rows():
-            fileobj.write(f"{rep_hex},{c}\n")
+    def text_chunks(self, lead: str, texts: Sequence[str]) -> Iterator[str]:
+        """The row lead + rep hex + texts[class] of every nontrivial coset
+        in id order, one string per chunk of at most _PASS_WORDS table
+        words.  A chunk is a (rows, width) byte array; NUL bytes pad the
+        shorter texts and are dropped."""
+        n, head = self.code.n, np.frombuffer(lead.encode(), np.uint8)
+        width, ragged = max(map(len, texts)), len(set(map(len, texts))) > 1
+        table = np.array([list(t.encode().ljust(width, b"\0")) for t in texts], dtype=np.uint8)
+        at = len(head) + hex_layout(n)[0]
+        step = max(1, _bitenum._PASS_WORDS // max(1, n // 64))
+        for a in range(1, len(self.classes), step):
+            ids = np.arange(a, min(a + step, len(self.classes)))
+            rows = np.empty((len(ids), at + width), dtype=np.uint8)
+            rows[:, : len(head)] = head
+            rows[:, len(head) : at] = _bitenum.hex_rows(_bitenum.span_rows(self._basis, n, ids), n)
+            rows[:, at:] = table[self.classes[ids]]
+            yield (rows[rows != 0] if ragged else rows).tobytes().decode()
 
 
 def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[int]:
@@ -312,6 +315,8 @@ def census_balanced(
     require_workers(workers)
     basis = _capped_rep_basis(code, scope, coset_cap)
     require_cap(code.dimension, cap, f"balanced census of {code}")
+    if code.dimension > 62:
+        raise ExactnessError(f"balanced counts of {code} may pass 2^62, beyond the int64 counts")
     ids = 1 << len(basis)
     header = f"census 1 {code.k} {code.m} {scope.name} {ids - 1}\n"
 
@@ -331,13 +336,20 @@ def census_balanced(
                 body = " ".join(map(str, part))
                 _save_checkpoint(checkpoint, f"{a} {zlib.crc32(body.encode()):08x} {body}\n")
 
-    return _checked_census(code, scope, counts, cap)
+    return _counted_census(code, scope, np.array(counts, dtype=np.int64), cap)
 
 
-def _checked_census(code: RMParams, scope: Scope, counts: list[int], cap: int | None) -> CosetCensus:
-    """The census of per-id counts (id 0 is the code itself), checked to
-    sum to the balanced words of the space its cosets tile: the full
-    space, or RM(k+1,m), counted on whichever of it and its dual is smaller."""
+def _counted_census(code: RMParams, scope: Scope, counts: np.ndarray, cap: int | None) -> CosetCensus:
+    """The checked census of per-id int64 counts, one class per distinct count."""
+    distinct, classes = np.unique(counts, return_inverse=True)
+    return _checked_census(code, scope, classes, tuple(distinct.tolist()), cap)
+
+
+def _checked_census(code: RMParams, scope: Scope, classes: np.ndarray, counts: tuple, cap: int | None):
+    """The census of per-id classes and per-class counts (id 0 is the code
+    itself), checked to sum to the balanced words of the space its cosets
+    tile: the full space, or RM(k+1,m), counted on whichever of it and its
+    dual is smaller."""
     n = code.n
     total, what = comb(n, n // 2), f"C({n},{n // 2})"
     if scope is Scope.WITHIN_NEXT_ORDER:
@@ -346,12 +358,10 @@ def _checked_census(code: RMParams, scope: Scope, counts: list[int], cap: int | 
         dist = rm_weight_distribution(small, cap)
         total = (dist if small == outer else macwilliams(dist, outer.dimension, n))[n // 2]
         what = f"the balanced count of {outer}"
-    if sum(counts) != total:
-        raise ExactnessError(
-            f"balanced counts of {code} and its cosets sum to {sum(counts)}, not {what} = {total}"
-        )
-    entries = tuple(enumerate(counts))[1:]
-    return CosetCensus(code=code, scope=scope, entries=entries, code_balanced_count=counts[0])
+    got = sum(c * size for c, size in zip(counts, np.bincount(classes, minlength=len(counts)).tolist()))
+    if got != total:
+        raise ExactnessError(f"balanced counts of {code} and its cosets sum to {got}, not {what} = {total}")
+    return CosetCensus(code, scope, classes, counts)
 
 
 def _dual_table(
@@ -381,7 +391,7 @@ def _dual_table(
         coeffs = [(w, c) for w, c in zip(weights, columns[i].tolist()) if c]
         return transforms._transform(coeffs, code.dimension, n, f"dual table of {code}")
 
-    return ids.reshape(-1).tolist(), distribution
+    return ids.reshape(-1), distribution
 
 
 def _dual_census(
@@ -390,26 +400,24 @@ def _dual_census(
     """The census read from the dual table, one balanced count per distinct column."""
     basis = _capped_rep_basis(code, scope, coset_cap)
     ids, distribution = _dual_table(code, basis, cap)
-    central = [distribution(i)[code.n // 2] for i in range(max(ids) + 1)]
-    return _checked_census(code, scope, [central[i] for i in ids], cap)
+    central = tuple(distribution(i)[code.n // 2] for i in range(int(ids.max()) + 1))
+    return _checked_census(code, scope, ids, central, cap)
 
 
 def _strict_max(claim, params, mode, method, census: CosetCensus, t0) -> Verdict:
     """The verdict that the code has more balanced words than every other
     coset of the census; the witness is the first coset reaching its count."""
-    code_count = census.code_balanced_count
-    max_other, bad_id = _scan(census.entries, code_count)
-    witness = None if bad_id is None else census.rep_table(bad_id)
-    return _verdict(claim, params, mode, method, max_other < code_count, code_count, max_other, witness, t0)
+    code_count, max_other = census.code_balanced_count, census.max_other
+    reaching = np.flatnonzero(np.array([c >= code_count for c in census.counts])[census.classes[1:]])
+    witness = census.rep_table(int(reaching[0]) + 1) if len(reaching) else None
+    return _verdict(claim, params, mode, method, witness is None, code_count, max_other, witness, t0)
 
 
 def _check_theorem_hypothesis(k: int, m: int) -> None:
     low = (m - 1 + 1) // 2  # ceil((m-1)/2)
     if not 1 <= k <= m - 1 or k < low:
-        raise ParameterError(
-            f"theorem hypothesis needs ceil((m-1)/2) <= k <= m-1; "
-            f"got k={k}, m={m} (lower bound {max(low, 1)})"
-        )
+        raise ParameterError(f"theorem hypothesis needs ceil((m-1)/2) <= k <= m-1; "
+                             f"got k={k}, m={m} (lower bound {max(low, 1)})")
 
 
 def verify_theorem_basic(
@@ -478,13 +486,13 @@ def verify_rm1_proposition(
             raise ParameterError(f"exhaustive proposition check supports m <= 4, got {m}")
         basis = _capped_rep_basis(code, Scope.FULL_SPACE, coset_cap)
         reps = [_build_rep(basis, g) for g in range(1 << len(basis))]
-        counts = _rm1_counts(reps, m)[0].tolist()
-        census = _checked_census(code, Scope.FULL_SPACE, counts, None)
+        counts = _rm1_counts(reps, m)[0]
+        census = _counted_census(code, Scope.FULL_SPACE, counts, None)
         if m <= 3:
             brute = census_balanced(code, Scope.FULL_SPACE)
-            bad = next((g for g, c in [(0, brute.code_balanced_count), *brute.entries] if c != counts[g]), None)
-            if bad is not None:
-                raise ExactnessError(f"spectral/brute disagreement at rep {TruthTable(m, reps[bad]).to_hex()}")
+            bad = np.flatnonzero(np.array(brute.id_counts()) != counts)
+            if len(bad):
+                raise ExactnessError(f"spectral/brute disagreement at rep {TruthTable(m, reps[bad[0]]).to_hex()}")
         return _strict_max("rm1", {"m": m}, Mode.EXHAUSTIVE, Method.SPECTRAL, census, t0)
 
     bound = (1 << (m + 1)) - 2
@@ -506,14 +514,12 @@ def verify_rm1_proposition(
         zero_counts, affine = _rm1_counts(batch, m)
         kept += len(batch) - int(np.count_nonzero(affine))
         zero_counts[affine] = 0
-        batch_max, bad = _scan(zip(batch, zero_counts.tolist()), bound)
-        max_other = max(max_other, batch_max)
-        if witness is None and bad is not None:
-            witness = TruthTable(m, bad)
-    return _verdict(
-        "rm1", {"m": m, "samples": samples, "seed": seed}, Mode.SAMPLED, Method.SPECTRAL,
-        max_other < bound, bound, max_other, witness, t0,
-    )
+        max_other = max(max_other, int(zero_counts.max()))
+        bad = np.flatnonzero(zero_counts >= bound)
+        if witness is None and len(bad):
+            witness = TruthTable(m, batch[bad[0]])
+    return _verdict("rm1", {"m": m, "samples": samples, "seed": seed}, Mode.SAMPLED, Method.SPECTRAL,
+                    max_other < bound, bound, max_other, witness, t0)
 
 
 def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | None = None) -> Verdict:
@@ -534,10 +540,8 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     # a balanced word has the even weight n/2, so one even weight is enough
     bad = next((g for g in odd if any(w % 2 == 0 for w in distribution(ids[g]).support)), None)
     witness = None if bad is None else TruthTable(m, _build_rep(basis, bad))
-    return _verdict(
-        "oddweight", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
-        witness is None, code_count, max_other, witness, t0,
-    )
+    return _verdict("oddweight", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
+                    witness is None, code_count, max_other, witness, t0)
 
 
 def verify_hamming_coset_equidistribution(
@@ -563,10 +567,8 @@ def verify_hamming_coset_equidistribution(
             f"equidistributed cosets disagree with closed forms at m={m}: "
             f"({code_count}, {max_other}) vs ({closed_b}, {closed_d})"
         )
-    return _verdict(
-        "equidist", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
-        witness is None, code_count, max_other, witness, t0,
-    )
+    return _verdict("equidist", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
+                    witness is None, code_count, max_other, witness, t0)
 
 
 def coset_weight_distribution(

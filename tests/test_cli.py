@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import rmlab
-from rmlab import cli
+from rmlab import _bitenum, cli
 from rmlab.bfcore import TruthTable
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
-from rmlab.harness import Method, Mode, Scope, Verdict, census_balanced
+from rmlab.harness import Method, Mode, Scope, Verdict, balanced_count_of_coset, census_balanced
 from rmlab.rmcodes import RMParams
 
 if sys.version_info >= (3, 11):
@@ -372,17 +372,28 @@ def test_census_json_and_table(capsys):
     (0, 1, "full"), (0, 1, "next"),  # one hex digit, padded
     (1, 4, "full"), (1, 4, "next"),
     (0, 7, "next"),  # two-word reps; no full-space census at m = 7 is countable
+    (2, 5, "next"),  # 1,023 reps of 8 digits, counts of three widths
 ])
-def test_census_json_and_table_are_the_whole_census(capsys, k, m, scope):
+def test_census_json_and_table_are_the_whole_census(capsys, monkeypatch, k, m, scope):
+    # every format against a tuple-of-pairs oracle; text chunks of one
+    # row, of several rows and a remainder (4 words), and of all rows
     census = census_balanced(RMParams(k, m), Scope(scope))
-    rows = list(census.rows())
+    counts = [balanced_count_of_coset(census.code, census.rep_table(i)) for i in range(1, len(census.classes))]
+    assert counts == census.id_counts()[1:]
+    rows = tuple((census.rep_table(i).to_hex(), str(c)) for i, c in enumerate(counts, start=1))
     obj = {"k": k, "m": m, "scope": census.scope.name,
            "code_balanced_count": str(census.code_balanced_count),
-           "entries": [[h, str(c)] for h, c in rows]}
+           "entries": [list(row) for row in rows]}
+    expected = {
+        "csv": "rep_hex,balanced_count\n" + "".join(f"{h},{c}\n" for h, c in rows),
+        "json": json.dumps(obj) + "\n",
+        "table": cli._two_column(("rep_hex", "balanced_count"), list(rows)),
+    }
     argv = ["census", "-k", str(k), "-m", str(m), "--scope", scope, "--format"]
-    assert run(capsys, *argv, "json") == (0, json.dumps(obj) + "\n", "")
-    table = cli._two_column(("rep_hex", "balanced_count"), [(h, str(c)) for h, c in rows])
-    assert run(capsys, *argv, "table") == (0, table, "")
+    for pass_words in (1, 4, _bitenum._PASS_WORDS):
+        monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
+        for fmt, text in expected.items():
+            assert run(capsys, *argv, fmt) == (0, text, ""), (fmt, pass_words)
 
 
 def test_failing_census_writes_no_output_file(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import random
@@ -174,14 +173,21 @@ def test_spectral_count_matches_enumeration():
             done += 1
 
 
+def max_entry(census):
+    """(first nontrivial id attaining the largest count, that count), read
+    from the census's classes and counts."""
+    others = [census.counts[c] for c in census.classes[1:].tolist()]
+    assert census.max_other == max(others)
+    return others.index(census.max_other) + 1, census.max_other
+
+
 def test_census_within_golden():
     census = census_balanced(RMParams(1, 3), Scope.WITHIN_NEXT_ORDER)
     assert census.code_balanced_count == 14
-    assert [c for _, c in census.entries] == [8] * 7
-    assert census.max_entry() == (1, 8)
-    buf = io.StringIO()
-    census.to_csv(buf)
-    assert buf.getvalue() == (
+    assert [census.counts[c] for c in census.classes[1:]] == [8] * 7
+    assert max_entry(census) == (1, 8)
+    csv = "".join(census.text_chunks("", [f",{c}\n" for c in census.counts]))
+    assert "rep_hex,balanced_count\n" + csv == (
         "rep_hex,balanced_count\n"
         "03,8\n05,8\n06,8\n11,8\n12,8\n14,8\n17,8\n"
     )
@@ -190,9 +196,9 @@ def test_census_within_golden():
 def test_census_full_scope():
     census = census_balanced(RMParams(1, 3), Scope.FULL_SPACE)
     assert census.code_balanced_count == 14
-    counts = Counter(c for _, c in census.entries)
+    counts = Counter(census.counts[c] for c in census.classes[1:])
     assert counts == {0: 8, 8: 7}
-    rep_id, best = census.max_entry()
+    rep_id, best = max_entry(census)
     assert (rep_id, best) == (3, 8)
     rep = census.rep_table(rep_id)
     assert balanced_count_of_coset(census.code, rep) == 8
@@ -205,7 +211,7 @@ def test_census_full_scope():
 def test_census_brute_agrees_with_transform_distribution():
     code = RMParams(2, 4)
     census = census_balanced(code, Scope.WITHIN_NEXT_ORDER)
-    for rep_id, count in census.entries:
+    for rep_id, count in enumerate(census.id_counts()[1:], start=1):
         rep = census.rep_table(rep_id)
         d = coset_weight_distribution(code, rep, method=Method.TRANSFORM)
         assert d[code.n // 2] == count
@@ -317,7 +323,7 @@ def test_full_scope_census_sums_to_the_balanced_words(tmp_path):
     code = RMParams(1, 3)
     assert sum(RM13_FULL) == comb(8, 4)
     census = census_balanced(code, Scope.FULL_SPACE)
-    assert census.code_balanced_count + sum(c for _, c in census.entries) == comb(8, 4)
+    assert sum(census.id_counts()) == comb(8, 4) and census.id_counts() == RM13_FULL
     # an edited count under a recomputed CRC passes every log check
     edited = RM13_FULL[:3] + [0] + RM13_FULL[4:]
     path = tmp_path / "census.log"
@@ -329,7 +335,7 @@ def test_full_scope_census_sums_to_the_balanced_words(tmp_path):
 def test_next_order_census_sums_to_the_next_code_balanced_words(tmp_path):
     code = RMParams(1, 3)
     census = census_balanced(code, Scope.WITHIN_NEXT_ORDER)
-    assert census.code_balanced_count + sum(c for _, c in census.entries) == comb(8, 4)
+    assert census.code_balanced_count + sum(census.id_counts()[1:]) == comb(8, 4)
     # the cosets of RM(1,3) in RM(2,3) tile it; one count raised to 16
     path = tmp_path / "census.log"
     path.write_text("census 1 1 3 WITHIN_NEXT_ORDER 7\n" + chunk_line(0, "14 8 8 16 8 8 8 8"))
@@ -403,7 +409,7 @@ def test_dual_table_takes_its_float_type_from_the_dual_dimension(monkeypatch):
     monkeypatch.setattr(spectral, "_FLOAT32_BITS", 10)
     wide_ids, wide_distribution = harness._dual_table(code, basis)
     assert dtypes == [np.float32, np.float64]
-    assert wide_ids == ids
+    assert np.array_equal(wide_ids, ids)
     assert [wide_distribution(i) for i in set(ids)] == [distribution(i) for i in set(ids)]
 
 
@@ -450,6 +456,52 @@ def test_verify_theorem_basic_transform():
     assert v.passed and (v.code_count, v.max_other) == (18796230, 18783360)
     v = verify_theorem_basic(4, 5, method=Method.TRANSFORM)
     assert v.passed and (v.code_count, v.max_other) == (601080390, 0)
+
+
+def test_theorem5_transform_counts_past_int64():
+    # the dual census keeps its counts as Python ints: both exceed 2^63
+    v = verify_theorem_basic(6, 8, method=Method.TRANSFORM)
+    assert v.passed and v.witness is None
+    assert v.code_count == 22533823529098462258163079522899558179092788838542277982316450977506091590
+    assert v.max_other == 22533823529098462258163079522899558155141642796614195116180863201125539840
+    assert v.max_other > 1 << 63
+
+
+def test_brute_census_refuses_counts_past_int64(monkeypatch):
+    # RM(5,6) has dimension 63, so a count may not fit int64; refused
+    # before any chunk is walked, even with the enumeration cap raised
+    monkeypatch.setattr(harness, "_count_chunk", None)
+    with pytest.raises(ExactnessError, match=r"RM\(5,6\) may pass 2\^62"):
+        census_balanced(RMParams(5, 6), Scope.FULL_SPACE, cap=63)
+    with pytest.raises(ExactnessError, match="2\\^62"):
+        verify_theorem_basic(5, 6, cap=63)
+
+
+def test_strict_max_witness_is_the_first_id_reaching_the_code_count():
+    # forced classes: ids 5 and 9 tie at the code's count 14, id 11 beats it
+    code = RMParams(1, 3)
+    classes = np.array([2, 0, 1, 0, 1, 2, 0, 0, 1, 2, 0, 3, 0, 1, 0, 1])
+    census = harness.CosetCensus(code, Scope.FULL_SPACE, classes, (0, 8, 14, 20))
+    v = harness._strict_max("theorem5", {}, Mode.EXHAUSTIVE, Method.BRUTE, census, 0.0)
+    assert not v.passed and (v.code_count, v.max_other) == (14, 20)
+    assert v.witness == census.rep_table(5)
+    # relabelled classes give the same census and the same verdict
+    relabelled = harness.CosetCensus(code, Scope.FULL_SPACE, 3 - classes, (20, 14, 8, 0))
+    assert relabelled == census
+    again = harness._strict_max("theorem5", {}, Mode.EXHAUSTIVE, Method.BRUTE, relabelled, 0.0)
+    assert (again.max_other, again.witness) == (20, census.rep_table(5))
+    # with id 11 back at 8, ids 5 and 9 tie at the largest count, which
+    # equals the code's: the claim fails and the witness is still id 5
+    tied = classes.copy()
+    tied[11] = 1
+    v = harness._strict_max("theorem5", {}, Mode.EXHAUSTIVE, Method.BRUTE,
+                            harness.CosetCensus(code, Scope.FULL_SPACE, tied, (0, 8, 14, 20)), 0.0)
+    assert not v.passed and (v.code_count, v.max_other, v.witness) == (14, 14, census.rep_table(5))
+    # a census whose largest other count is below the code's passes
+    tied[[5, 9]] = 1
+    v = harness._strict_max("theorem5", {}, Mode.EXHAUSTIVE, Method.BRUTE,
+                            harness.CosetCensus(code, Scope.FULL_SPACE, tied, (0, 8, 14, 20)), 0.0)
+    assert v.passed and (v.max_other, v.witness) == (8, None)
 
 
 def test_verify_theorem_hypothesis_rejections():
@@ -634,9 +686,10 @@ def patch_one_coset(monkeypatch, target, change):
 
     def patched(code, basis, cap=None):
         ids, distribution = real(code, basis, cap)
-        own = max(ids) + 1
+        own = ids.max() + 1
         true = distribution(ids[target])
-        ids = ids[:target] + [own] + ids[target + 1 :]
+        ids = ids.copy()
+        ids[target] = own
         return ids, lambda i: change(true) if i == own else distribution(i)
 
     monkeypatch.setattr(harness, "_dual_table", patched)
