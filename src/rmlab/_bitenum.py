@@ -41,15 +41,13 @@ _PASS_WORDS = 1 << 18
 
 
 def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
-    """Stack packed tables into a (len, n/64 or 1) uint64 matrix.  Tables
-    shorter than 64 bits go into the low bits of a single word."""
-    if n >= 64:
-        if n % 64:
-            raise ParameterError(f"table length {n} is not a whole number of words")
-        nbytes = n // 8
-        buf = b"".join(t.to_bytes(nbytes, "big") for t in tables)
-        return np.frombuffer(buf, dtype=">u8").astype(np.uint64).reshape(len(tables), n // 64)
-    return np.array(tables, dtype=np.uint64).reshape(len(tables), 1)
+    """Stack packed tables into a (len, n/64 or 1) matrix of big-endian
+    uint64 words.  A table shorter than 64 bits is one word, in its low bits."""
+    if n > 64 and n % 64:
+        raise ParameterError(f"table length {n} is not a whole number of words")
+    nwords = max(1, n // 64)
+    buf = b"".join(t.to_bytes(8 * nwords, "big") for t in tables)
+    return np.frombuffer(buf, dtype=">u8").astype(np.uint64).reshape(len(tables), nwords)
 
 
 def hex_rows(words: np.ndarray, n: int) -> np.ndarray:

@@ -131,10 +131,7 @@ def constant_tt(m: int, value: int) -> TruthTable:
 
 def variable_tt(m: int, j: int) -> TruthTable:
     """Truth table of the variable Y_j (1-indexed, Y_1 most significant)."""
-    _check_m(m)
-    if not 1 <= j <= m:
-        raise ParameterError(f"variable index {j} out of range 1..{m}")
-    return TruthTable(m, _variable_pattern(m, j))
+    return monomial_tt(m, [j])
 
 
 def monomial_tt(m: int, variables: Iterable[int]) -> TruthTable:
@@ -197,10 +194,7 @@ class AnfMonomialSet:
 
     @classmethod
     def of(cls, m: int, monomials: Iterable[Iterable[int]]) -> "AnfMonomialSet":
-        mono_list = [frozenset(s) for s in monomials]
-        if len(set(mono_list)) != len(mono_list):
-            raise ParameterError("duplicate monomials (would cancel over F_2)")
-        return cls(m, frozenset(mono_list))
+        return cls(m, list(monomials))  # __post_init__ normalizes and refuses duplicates
 
     @property
     def degree(self) -> int | None:
@@ -277,17 +271,7 @@ def anf_from_tt(t: TruthTable) -> AnfMonomialSet:
 
 def degree_of(t: TruthTable) -> int | None:
     """Algebraic degree; None for the zero function."""
-    coef = _mobius_bits(t.bits, t.m)
-    n = t.n
-    best = None
-    while coef:
-        low = coef & -coef
-        u = n - 1 - (low.bit_length() - 1)
-        d = u.bit_count()
-        if best is None or d > best:
-            best = d
-        coef ^= low
-    return best
+    return anf_from_tt(t).degree
 
 
 def linear_tt(omega: PointVector) -> TruthTable:

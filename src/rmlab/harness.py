@@ -527,8 +527,8 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     RM(m-1,m)) contain no balanced words; in fact every word weight there
     is odd, which the dual table re-checks."""
     t0 = time.monotonic()
-    if not 2 <= m <= 5:
-        raise ParameterError(f"odd-weight coset check supports 2 <= m <= 5, got {m}")
+    if m < 2:
+        raise ParameterError(f"odd-weight coset check needs m >= 2, got {m}")
     code = RMParams(m - 2, m)
     basis = _capped_rep_basis(code, Scope.FULL_SPACE, coset_cap)
     ids, distribution = _dual_table(code, basis, cap)
@@ -550,8 +550,8 @@ def verify_hamming_coset_equidistribution(
     """All nontrivial cosets of RM(m-2,m) inside RM(m-1,m) share one full
     weight distribution, whose balanced entry matches the closed form."""
     t0 = time.monotonic()
-    if not 3 <= m <= 5:
-        raise ParameterError(f"equidistribution check supports 3 <= m <= 5, got {m}")
+    if m < 3:
+        raise ParameterError(f"equidistribution check needs m >= 3, got {m}")
     code = RMParams(m - 2, m)
     basis = _capped_rep_basis(code, Scope.WITHIN_NEXT_ORDER, coset_cap)
     ids, distribution = _dual_table(code, basis, cap)

@@ -52,10 +52,7 @@ def kraw_column(k: int, n: int) -> list[int]:
     Every division is checked exact; a remainder means the recurrence was
     misapplied and we refuse to return a wrong integer.
     """
-    if n < 0:
-        raise ParameterError(f"length n must be >= 0, got {n}")
-    if not 0 <= k <= n:
-        raise ParameterError(f"degree k must be in 0..n, got k={k}, n={n}")
+    _check_kraw_args(k, 0, n)
     col = [0] * (n + 1)
     col[0] = comb(n, k)
     if n == 0:
@@ -83,10 +80,7 @@ def kraw_row(x: int, n: int) -> tuple[int, ...]:
 
     Every division is checked exact, as in kraw_column.
     """
-    if n < 0:
-        raise ParameterError(f"length n must be >= 0, got {n}")
-    if not 0 <= x <= n:
-        raise ParameterError(f"argument x must be in 0..n, got x={x}, n={n}")
+    _check_kraw_args(0, x, n)
     row = [1] * (n + 1)
     if n == 0:
         return tuple(row)

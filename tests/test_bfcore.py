@@ -123,6 +123,14 @@ def test_anf_text_round_trip():
             AnfMonomialSet.from_str(3, bad)
 
 
+def test_duplicate_monomials_are_refused():
+    for make in (lambda: AnfMonomialSet.of(3, [[1], [1]]),
+                 lambda: AnfMonomialSet.from_str(3, "Y1+Y1"),
+                 lambda: AnfMonomialSet.from_str(3, "1+1")):
+        with pytest.raises(ParameterError, match="duplicate monomials"):
+            make()
+
+
 def test_anf_degree():
     assert AnfMonomialSet.from_str(3, "0").degree is None
     assert AnfMonomialSet.from_str(3, "1").degree == 0

@@ -277,6 +277,21 @@ def test_span_rows_and_hex_rows_match_the_int_tables():
         assert [row.tobytes().decode() for row in digits] == hexes
 
 
+def test_to_words_rows_are_big_endian_words():
+    rng = random.Random("words")
+    for m in range(1, 13):
+        n = 1 << m
+        tables = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]
+        words = max(1, n // 64)
+        expected = [[t >> (64 * (words - 1 - w)) & ((1 << 64) - 1) for w in range(words)] for t in tables]
+        rows = _bitenum._to_words(tables, n)
+        assert rows.dtype == np.uint64 and rows.shape == (len(tables), words)
+        assert rows.tolist() == expected
+        assert _bitenum._to_words([], n).shape == (0, words)
+    with pytest.raises(ParameterError, match="not a whole number of words"):
+        _bitenum._to_words([0], 96)
+
+
 def check_rows(census):
     # lead, hex and class text; the counts are ragged, so NUL padding is dropped
     counts = census.id_counts()

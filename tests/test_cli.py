@@ -291,6 +291,10 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 2 and "invalid parameters" in err
     code, _, err = run(capsys, "verify", "theorem5", "-k", "2", "-m", "5", "--cap", "4")
     assert code == 3 and "cap exceeded" in err
+    # oddweight has no range of its own: the dual table needs 2^(14+13) bins, past the default cap of 2^26
+    monkeypatch.delenv("RMLAB_CAP_DIM", raising=False)
+    code, out, err = run(capsys, "verify", "oddweight", "-m", "13")
+    assert code == 3 and out == "" and "enumeration cap 26" in err
     fake = Verdict(
         claim="theorem5", params={"k": 1, "m": 3}, mode=Mode.EXHAUSTIVE,
         method=Method.BRUTE, passed=False, code_count=14, max_other=14,

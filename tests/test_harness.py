@@ -653,7 +653,8 @@ def test_verify_rm1_sampled():
         verify_rm1_proposition(5, samples=0)
 
 
-def test_verify_oddweight():
+def test_verify_oddweight(monkeypatch):
+    monkeypatch.delenv("RMLAB_CAP_DIM", raising=False)
     v = verify_oddweight_cosets(3)
     assert v.passed and (v.code_count, v.max_other) == (14, 0)
     v = verify_oddweight_cosets(4)
@@ -662,21 +663,30 @@ def test_verify_oddweight():
     assert v.passed and (v.code_count, v.max_other) == (18796230, 0)
     v = verify_oddweight_cosets(2)
     assert v.passed and (v.code_count, v.max_other) == (0, 0)
+    # no range of its own past m >= 2: the coset and enumeration caps bound it
+    v = verify_oddweight_cosets(6)
+    assert v.passed and (v.code_count, v.max_other) == (28634752793916486, 0)
     with pytest.raises(ParameterError):
-        verify_oddweight_cosets(6)
+        verify_oddweight_cosets(1)
+    with pytest.raises(CapExceededError, match="enumeration cap"):
+        verify_oddweight_cosets(13)
 
 
-def test_verify_equidistribution():
+def test_verify_equidistribution(monkeypatch):
+    monkeypatch.delenv("RMLAB_CAP_DIM", raising=False)
     v = verify_hamming_coset_equidistribution(3)
     assert v.passed and (v.code_count, v.max_other) == (14, 8)
     v = verify_hamming_coset_equidistribution(4)
     assert v.passed and (v.code_count, v.max_other) == (870, 800)
     v = verify_hamming_coset_equidistribution(5)
     assert v.passed and (v.code_count, v.max_other) == (18796230, 18783360)
+    v = verify_hamming_coset_equidistribution(6)
+    assert v.passed and (v.code_count, v.max_other) == (28634752793916486, 28634752192836096)
+    assert (v.code_count, v.max_other) == transforms.hamming_closed_forms(6)
     with pytest.raises(ParameterError):
         verify_hamming_coset_equidistribution(2)
-    with pytest.raises(ParameterError):
-        verify_hamming_coset_equidistribution(6)
+    with pytest.raises(CapExceededError, match="enumeration cap"):
+        verify_hamming_coset_equidistribution(14)
 
 
 def patch_one_coset(monkeypatch, target, change):
