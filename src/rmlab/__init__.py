@@ -45,7 +45,6 @@ from .krawtchouk import (
 )
 from .rmcodes import (
     DEFAULT_DIMENSION_CAP,
-    ENV_CAP_VAR,
     RMParams,
     WeightDistribution,
     dimension_cap,

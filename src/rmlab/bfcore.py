@@ -22,7 +22,8 @@ from .errors import ParameterError
 
 MAX_M = 28
 
-_ANF_TERM_RE = re.compile(r"(?:Y\d+)+")
+_ANF_TERM_RE = re.compile(r"(?:Y[0-9]+)+")
+_HEX_RE = re.compile(r"[0-9a-f]*")  # int(s, 16) would also take 0x, _ and +
 
 
 def _check_m(m: int) -> None:
@@ -96,10 +97,9 @@ class TruthTable:
         s = s.strip().lower()
         if len(s) != w:
             raise ParameterError(f"expected {w} hex digits for m={m}, got {len(s)}")
-        try:
-            v = int(s, 16)
-        except ValueError as exc:
-            raise ParameterError(f"invalid hex string {s!r}") from exc
+        if not _HEX_RE.fullmatch(s):
+            raise ParameterError(f"invalid hex string {s!r}")
+        v = int(s, 16)
         if v & ((1 << pad) - 1):
             raise ParameterError("nonzero padding bits in hex string")
         return cls(m, v >> pad)
@@ -228,7 +228,7 @@ class AnfMonomialSet:
                 continue
             if not _ANF_TERM_RE.fullmatch(term):
                 raise ParameterError(f"malformed ANF term {term!r}")
-            indices = [int(t) for t in re.findall(r"Y(\d+)", term)]
+            indices = [int(t) for t in re.findall(r"Y([0-9]+)", term)]
             if len(set(indices)) != len(indices):
                 raise ParameterError(f"repeated variable in term {term!r}")
             monomials.append(frozenset(indices))

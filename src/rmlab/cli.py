@@ -3,10 +3,10 @@ distributions, Walsh spectra, Krawtchouk values, claim verification and
 coset censuses.
 
 Exit codes: 0 success / claim passed, 1 claim failed, 2 invalid
-parameters, 3 enumeration cap exceeded, 4 exactness check failed (an
-exact identity or an asserted integer bound did not hold, so no result
-is printed).  RMLAB_CAP_DIM overrides the default enumeration-dimension
-cap; --cap overrides both.
+parameters (an unwritable --output or --checkpoint path among them), 3
+enumeration cap exceeded, 4 exactness check failed (an exact identity or
+an asserted integer bound did not hold, so no result is printed).  --cap
+overrides the default enumeration-dimension cap.
 """
 
 from __future__ import annotations
@@ -44,12 +44,15 @@ from .transforms import macwilliams
 
 @contextlib.contextmanager
 def _open_output(output: str | None):
-    """The file to write to: stdout, or the named file opened for writing."""
+    """stdout, or the named file opened for writing (an OSError there is an invalid parameter)."""
     if output is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             yield fh
+    except OSError as exc:
+        raise ParameterError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:

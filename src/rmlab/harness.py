@@ -48,6 +48,7 @@ from .errors import CapExceededError, ExactnessError, ParameterError
 from .rmcodes import (
     RMParams,
     WeightDistribution,
+    code_counter,
     dual_params,
     monomial_basis,
     pivot_positions,
@@ -171,19 +172,13 @@ def coset_representatives(code: RMParams, scope: Scope, coset_cap: int | None = 
         yield TruthTable(code.m, _build_rep(basis, g))
 
 
-def _code_counter(code: RMParams, cap: int | None, what: str) -> _bitenum.SpanCounter:
-    """The code's span, checked against the enumeration cap."""
-    require_cap(code.dimension, cap, what)
-    return _bitenum.SpanCounter([t.bits for t in monomial_basis(code)], code.n)
-
-
 def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = None) -> int:
     """Words of weight n/2 in code + rep, by exhaustive enumeration
     (rep = 0 gives the code's own balanced count)."""
     if rep.m != code.m:
         raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
-    counter = _code_counter(code, cap, f"counting balanced words in a coset of {code}")
-    return int(counter.weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
+    require_cap(code.dimension, cap, f"counting balanced words in a coset of {code}")
+    return int(code_counter(code).weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +248,7 @@ def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[in
     """Balanced counts for rep ids start..stop-1 (id 0 is the code itself),
     from a walker built from the parameters, so it runs in any process."""
     reps = _bitenum.span_rows(_rep_basis(code, scope), code.n, np.arange(start, stop))
-    counter = _bitenum.SpanCounter([t.bits for t in monomial_basis(code)], code.n)
-    return counter.weight_counts(reps, code.n // 2).tolist()
+    return code_counter(code).weight_counts(reps, code.n // 2).tolist()
 
 
 # A census log is the header "census <format version 1> <k> <m> <scope>
@@ -264,10 +258,18 @@ def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[in
 _CHUNK_LINE = re.compile(r"(\d{1,20}) ([0-9a-f]{8}) (\d{1,20}(?: \d{1,20})*)", re.ASCII)
 
 
+def _open_log(path: str, mode: str):
+    """The census log opened in mode; a path that cannot be opened is an invalid parameter."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ParameterError(f"cannot open checkpoint {path}: {exc.strerror}") from exc
+
+
 def _load_checkpoint(path: str, header: str, ids: int, top: int) -> list[int]:
     """The counts of a census log, each line checked; a last line without
     its newline is an interrupted write and is cut off so its chunk reruns."""
-    with open(path, "rb") as fh:
+    with _open_log(path, "rb") as fh:
         data = fh.read()
     cut = data.rfind(b"\n") + 1
     lines = data[:cut].decode("ascii", "replace").split("\n")[:-1]
@@ -295,7 +297,7 @@ def _load_checkpoint(path: str, header: str, ids: int, top: int) -> list[int]:
 
 def _save_checkpoint(path: str, line: str) -> None:
     """Append one line to the census log."""
-    with open(path, "a") as fh:
+    with _open_log(path, "a") as fh:
         fh.write(line)
 
 
@@ -379,9 +381,7 @@ def _dual_table(
         raise ExactnessError(f"{r}-bit syndromes do not fit the 64-bit key column")
     dtype = _exact_float(dual.dimension, f"the transform of a {dual.dimension}-dimensional dual")
     require_cap(r + code.m, cap, f"dual walk of {code} (2^{r} syndromes x {n + 1} weights)")
-    gens = [t.bits for t in monomial_basis(dual)]
-    keys = [sum(((b & t).bit_count() & 1) << i for i, t in enumerate(basis)) for b in gens]
-    hist = _bitenum.SpanCounter(gens, n, keys, r).weight_histogram().reshape(1 << r, n + 1)
+    hist = code_counter(dual, basis).weight_histogram().reshape(1 << r, n + 1)
     weights = np.flatnonzero(hist.any(axis=0)).tolist()
     spectra = _wht_rows(np.ascontiguousarray(hist[:, weights].T, dtype=dtype)).astype(np.int64)
     columns, ids = np.unique(spectra.T, axis=0, return_inverse=True)
@@ -578,9 +578,8 @@ def coset_weight_distribution(
     dual-side transform; both require rep outside the code."""
     CosetSpec(code, rep)  # raises unless rep has the code's m and lies outside the code
     if method is Method.BRUTE:
-        counter = _code_counter(code, cap, f"coset distribution of {code}")
-        hist = counter.weight_histogram(rep.bits)
-        return WeightDistribution.from_dense(hist.tolist())
+        require_cap(code.dimension, cap, f"coset distribution of {code}")
+        return WeightDistribution.from_dense(code_counter(code).weight_histogram(rep.bits).tolist())
     if method is Method.TRANSFORM:
         ids, distribution = _dual_table(code, [rep.bits], cap)
         return distribution(ids[1])

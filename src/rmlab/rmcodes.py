@@ -7,46 +7,33 @@ dual code RM(m-k-1, m).  The positions u with popcount(u) <= k are an
 information set; one mask of the other positions both tests membership
 (no ANF coefficient there) and indexes the cosets (pivot_positions).
 Exhaustive enumeration is gated by a dimension cap (default 26,
-overridable per call or via the RMLAB_CAP_DIM environment variable) so
-nothing silently tries to walk 2^200 codewords.
+overridable per call) so nothing silently tries to walk 2^200 codewords.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _bitenum
 from .bfcore import MAX_M, TruthTable, _check_m, _mobius_bits, monomial_tt
 from .errors import CapExceededError, ParameterError
 
 DEFAULT_DIMENSION_CAP = 26
-ENV_CAP_VAR = "RMLAB_CAP_DIM"
 
 
 def dimension_cap(override: int | None = None) -> int:
-    """Effective enumeration cap: explicit override, else RMLAB_CAP_DIM,
-    else the default."""
-    if override is not None:
-        if not isinstance(override, int) or override < 0:
-            raise ParameterError(f"cap override must be a nonnegative int, got {override!r}")
-        return override
-    env = os.environ.get(ENV_CAP_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"invalid {ENV_CAP_VAR}={env!r}") from exc
-        if value < 0:
-            raise ParameterError(f"invalid {ENV_CAP_VAR}={env!r}: must be >= 0")
-        return value
-    return DEFAULT_DIMENSION_CAP
+    """Effective enumeration cap: the explicit override, else the default."""
+    if override is None:
+        return DEFAULT_DIMENSION_CAP
+    if not isinstance(override, int) or override < 0:
+        raise ParameterError(f"cap override must be a nonnegative int, got {override!r}")
+    return override
 
 
 @dataclass(frozen=True)
@@ -207,7 +194,7 @@ def require_cap(dim: int, cap: int | None, what: str) -> None:
     if dim > limit:
         raise CapExceededError(
             f"{what} needs dimension {dim} > enumeration cap {limit} "
-            f"(raise the cap explicitly or via {ENV_CAP_VAR})"
+            "(raise the cap explicitly)"
         )
 
 
@@ -220,14 +207,19 @@ def rm_iterate(p: RMParams, cap: int | None = None) -> Iterator[TruthTable]:
         yield TruthTable(p.m, bits)
 
 
+def code_counter(p: RMParams, against: Sequence[int] = ()) -> _bitenum.SpanCounter:
+    """The span of p's monomial basis, for weight queries.  With tables
+    `against`, each generator is keyed by its syndrome: bit i is its
+    parity with against[i].  The caller checks the enumeration cap."""
+    basis = [t.bits for t in monomial_basis(p)]
+    keys = [sum(((b & a).bit_count() & 1) << i for i, a in enumerate(against)) for b in basis]
+    return _bitenum.SpanCounter(basis, p.n, keys, len(against))
+
+
 def rm_weight_distribution(p: RMParams, cap: int | None = None) -> WeightDistribution:
     """Exact weight distribution by bit-parallel exhaustive enumeration."""
     require_cap(p.dimension, cap, f"weight distribution of {p}")
-    if p.trivial:
-        return WeightDistribution.from_counts(p.n, {0: 1})
-    basis = [t.bits for t in monomial_basis(p)]
-    hist = _bitenum.SpanCounter(basis, p.n).weight_histogram()
-    return WeightDistribution.from_dense(hist.tolist())
+    return WeightDistribution.from_dense(code_counter(p).weight_histogram().tolist())
 
 
 def mceliece_exponent(p: RMParams) -> int:

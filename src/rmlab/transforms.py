@@ -24,15 +24,14 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from . import _bitenum
 from .bfcore import TruthTable
 from .errors import ExactnessError, ParameterError
 from .krawtchouk import central_column, kraw_row
 from .rmcodes import (
     RMParams,
     WeightDistribution,
+    code_counter,
     dual_params,
-    monomial_basis,
     require_cap,
     rm_membership,
 )
@@ -115,9 +114,7 @@ def coset_dual_profile(spec: CosetSpec, cap: int | None = None) -> CosetDualProf
     to the representative."""
     dual = dual_params(spec.code)
     require_cap(dual.dimension, cap, f"orthogonality profile over the dual {dual}")
-    basis = [t.bits for t in monomial_basis(dual)]
-    keys = [(b & spec.rep.bits).bit_count() & 1 for b in basis]
-    hist = _bitenum.SpanCounter(basis, spec.code.n, keys, 1).weight_histogram()
+    hist = code_counter(dual, [spec.rep.bits]).weight_histogram()
     profile = CosetDualProfile.from_dense(hist[0].tolist())
     expected = 1 << (dual.dimension - 1)
     if profile.total != expected:

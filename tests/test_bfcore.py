@@ -60,6 +60,13 @@ def test_truth_table_hex_m1_padding():
         TruthTable.from_hex(3, "zz")
 
 
+@pytest.mark.parametrize("text", ["0x12", "0X1f", "1_23", "+123"])
+def test_hex_takes_only_its_digit_count_of_hex_digits(text):
+    # int(text, 16) reads each of these as a table nobody typed
+    with pytest.raises(ParameterError, match="invalid hex string"):
+        TruthTable.from_hex(4, text)
+
+
 def test_truth_table_validation():
     with pytest.raises(ParameterError):
         TruthTable(0, 0)
@@ -118,7 +125,8 @@ def test_anf_text_round_trip():
     assert AnfMonomialSet.from_str(3, a.to_str()) == a
     assert AnfMonomialSet.from_str(4, "0").monomials == frozenset()
     assert AnfMonomialSet.from_str(4, "0").to_str() == "0"
-    for bad in ["", "Y1+", "Y0", "Y4", "Y1Y1", "x1", "Y1+Y1"]:
+    # "Y\u0661Y2" has an Arabic-Indic one, which \d would read as 1
+    for bad in ["", "Y1+", "Y0", "Y4", "Y1Y1", "x1", "Y1+Y1", "Y\u0661Y2"]:
         with pytest.raises(ParameterError):
             AnfMonomialSet.from_str(3, bad)
 

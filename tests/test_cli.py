@@ -214,15 +214,14 @@ def test_weightdist_validation(capsys):
 def test_weightdist_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "weightdist", "-k", "2", "-m", "5", "--cap", "4")
     assert code == 3 and "cap exceeded" in err
-    monkeypatch.setenv("RMLAB_CAP_DIM", "4")
-    code, _, err = run(capsys, "weightdist", "-k", "2", "-m", "5")
-    assert code == 3 and "cap exceeded" in err
-    # --cap overrides the environment variable
     code, _, _ = run(capsys, "weightdist", "-k", "2", "-m", "5", "--cap", "16")
     assert code == 0
-    monkeypatch.setenv("RMLAB_CAP_DIM", "junk")
-    code, _, err = run(capsys, "weightdist", "-k", "2", "-m", "5")
-    assert code == 2 and "invalid parameters" in err
+    # only --cap sets the cap: the environment plays no part
+    code, plain, _ = run(capsys, "weightdist", "-k", "2", "-m", "5")
+    assert code == 0
+    for value in ("4", "junk"):
+        monkeypatch.setenv("RMLAB_CAP_DIM", value)
+        assert run(capsys, "weightdist", "-k", "2", "-m", "5") == (0, plain, "")
 
 
 def test_cosetdist(capsys):
@@ -244,6 +243,8 @@ def test_cosetdist_rejects_rep_in_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "cosetdist", "-k", "1", "-m", "3", "--rep", "0033")
     assert code == 2
+    code, out, err = run(capsys, "cosetdist", "-k", "1", "-m", "4", "--rep", "0x12")
+    assert code == 2 and out == "" and "invalid hex string" in err
 
 
 def test_wht(capsys):
@@ -292,7 +293,6 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "theorem5", "-k", "2", "-m", "5", "--cap", "4")
     assert code == 3 and "cap exceeded" in err
     # oddweight has no range of its own: the dual table needs 2^(14+13) bins, past the default cap of 2^26
-    monkeypatch.delenv("RMLAB_CAP_DIM", raising=False)
     code, out, err = run(capsys, "verify", "oddweight", "-m", "13")
     assert code == 3 and out == "" and "enumeration cap 26" in err
     fake = Verdict(
@@ -398,6 +398,22 @@ def test_census_json_and_table_are_the_whole_census(capsys, monkeypatch, k, m, s
         monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
         for fmt, text in expected.items():
             assert run(capsys, *argv, fmt) == (0, text, ""), (fmt, pass_words)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorem5", "-k", "1", "-m", "3", "--output", "{tmp}/nodir/x.json"),
+    ("verify", "theorem5", "-k", "1", "-m", "3", "--checkpoint", "{tmp}"),
+    ("weightdist", "-k", "1", "-m", "3", "--output", "/dev/full"),
+    ("census", "-k", "0", "-m", "3", "--checkpoint", "{tmp}/nodir/log"),
+])
+def test_unwritable_paths_exit_2(capsys, tmp_path, argv):
+    # exit 1 means a claim failed, so an I/O error must not end in a traceback
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("rmlab: invalid parameters: cannot ") and f" {argv[-1]}: " in err
 
 
 def test_failing_census_writes_no_output_file(capsys, tmp_path):

@@ -653,8 +653,7 @@ def test_verify_rm1_sampled():
         verify_rm1_proposition(5, samples=0)
 
 
-def test_verify_oddweight(monkeypatch):
-    monkeypatch.delenv("RMLAB_CAP_DIM", raising=False)
+def test_verify_oddweight():
     v = verify_oddweight_cosets(3)
     assert v.passed and (v.code_count, v.max_other) == (14, 0)
     v = verify_oddweight_cosets(4)
@@ -672,8 +671,7 @@ def test_verify_oddweight(monkeypatch):
         verify_oddweight_cosets(13)
 
 
-def test_verify_equidistribution(monkeypatch):
-    monkeypatch.delenv("RMLAB_CAP_DIM", raising=False)
+def test_verify_equidistribution():
     v = verify_hamming_coset_equidistribution(3)
     assert v.passed and (v.code_count, v.max_other) == (14, 8)
     v = verify_hamming_coset_equidistribution(4)

@@ -3,16 +3,20 @@ import json
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlab._bitenum import iter_span
 from rmlab.bfcore import TruthTable, linear_tt, PointVector, tt_from_anf, AnfMonomialSet, degree_of
 from rmlab.errors import CapExceededError, ParameterError
+from rmlab.harness import Scope, _rep_basis
 from rmlab.rmcodes import (
     DEFAULT_DIMENSION_CAP,
     RMParams,
     WeightDistribution,
+    code_counter,
     dimension_cap,
     dual_params,
     is_doubly_even,
@@ -196,6 +200,38 @@ def test_membership_accepts_codewords(data):
     assert rm_membership(TruthTable(m, bits), RMParams(k, m))
 
 
+def keyed_histogram_oracle(p: RMParams, against: list[int]) -> np.ndarray:
+    """Weight histogram of p's span per syndrome, each word's syndrome
+    computed one explicit parity at a time: bit i is its parity with
+    against[i]."""
+    hist = np.zeros((1 << len(against), p.n + 1), dtype=np.int64)
+    for word in iter_span([t.bits for t in monomial_basis(p)], p.n):
+        key = sum(((word & a).bit_count() & 1) << i for i, a in enumerate(against))
+        hist[key, word.bit_count()] += 1
+    return hist
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for m in range(1, 6) for k in range(m + 1)])
+def test_code_counter_against_explicit_parities(k, m):
+    """The keyed counter of the code and of its dual, keyed by nothing, by
+    one random table, and by the rep basis of each scope (as _dual_table
+    keys the dual), against the per-word oracle wherever it walks at most
+    2^16 words into at most 2^16 syndromes."""
+    code = RMParams(k, m)
+    scopes = [Scope.FULL_SPACE] + ([Scope.WITHIN_NEXT_ORDER] if k < m else [])
+    againsts = [[], [random.Random(k * 8 + m).getrandbits(code.n)]]
+    againsts += [basis for basis in (_rep_basis(code, s) for s in scopes) if len(basis) <= 16]
+    checked = 0
+    for p in (code, dual_params(code)):
+        if p.dimension > 16:
+            continue
+        for against in againsts:
+            got = code_counter(p, against).weight_histogram()
+            assert np.array_equal(got.reshape(-1, p.n + 1), keyed_histogram_oracle(p, against)), (p, against)
+            checked += 1
+    assert checked >= 2
+
+
 def test_enumeration_cap():
     assert dimension_cap() == DEFAULT_DIMENSION_CAP
     assert dimension_cap(30) == 30
@@ -204,18 +240,6 @@ def test_enumeration_cap():
     assert "42" in str(exc.value) and "20" in str(exc.value)
     with pytest.raises(CapExceededError):
         next(rm_iterate(RMParams(4, 6)))  # dimension 57 > default 26
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("RMLAB_CAP_DIM", "3")
-    with pytest.raises(CapExceededError):
-        rm_weight_distribution(RMParams(1, 3))  # dimension 4 > 3
-    assert rm_weight_distribution(RMParams(1, 3), cap=4)[4] == 14  # explicit beats env
-    monkeypatch.setenv("RMLAB_CAP_DIM", "junk")
-    with pytest.raises(ParameterError):
-        rm_weight_distribution(RMParams(1, 3))
-    monkeypatch.setenv("RMLAB_CAP_DIM", "26")
-    assert dimension_cap() == 26
 
 
 def test_weight_distribution_type():
