@@ -24,6 +24,7 @@ from .harness import (
     census_balanced,
     coset_weight_distribution,
     require_workers,
+    require_writable,
     verify_hamming_coset_equidistribution,
     verify_oddweight_cosets,
     verify_quotient_conjecture,
@@ -61,8 +62,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _two_column(header: tuple[str, str], rows: list[tuple[str, str]]) -> str:
-    wa = max(len(header[0]), *(len(a) for a, _ in rows)) if rows else len(header[0])
-    wb = max(len(header[1]), *(len(b) for _, b in rows)) if rows else len(header[1])
+    wa, wb = (max(map(len, column)) for column in zip(header, *rows))
     lines = [f"{header[0]:>{wa}} {header[1]:>{wb}}"]
     lines += [f"{a:>{wa}} {b:>{wb}}" for a, b in rows]
     return "\n".join(lines) + "\n"
@@ -94,16 +94,10 @@ def _cmd_kraw(args: argparse.Namespace) -> int:
         raise ParameterError("need either --central or --j")
     if args.all == (args.i is not None):
         raise ParameterError("need exactly one of --i or --all")
-    if args.central:
-        if args.all:
-            pairs = list(enumerate(central_column(n)))
-        else:
-            pairs = [(args.i, central_K(args.i, n))]
+    if args.all:
+        pairs = list(enumerate(central_column(n) if args.central else kraw_column(args.j, n)))
     else:
-        if args.all:
-            pairs = list(enumerate(kraw_column(args.j, n)))
-        else:
-            pairs = [(args.i, kraw_direct(args.j, args.i, n))]
+        pairs = [(args.i, central_K(args.i, n) if args.central else kraw_direct(args.j, args.i, n))]
     _emit(_format_values(pairs, args.format, "i"), args.output)
     return 0
 
@@ -294,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     if extra:  # the full parser's error: its usage line lists every command
         _build_parser([]).parse_args(argv)
     try:
+        if args.output is not None:
+            require_writable(args.output)
         with unlimited_int_digits():
             return args.func(args)
     except ParameterError as exc:

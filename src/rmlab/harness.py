@@ -118,6 +118,18 @@ def require_workers(workers: int) -> None:
         raise ParameterError(f"worker count must be at least 1, got {workers}")
 
 
+def require_writable(path: str) -> None:
+    """Raise ParameterError, creating nothing, where opening path to write
+    would fail: on a directory, in a missing folder, or without write access."""
+    folder = os.path.dirname(path) or "."
+    reason = ("Is a directory" if os.path.isdir(path)
+              else "No such file or directory" if not os.path.isdir(folder)
+              else "" if os.access(path if os.path.exists(path) else folder, os.W_OK)
+              else "Permission denied")
+    if reason:
+        raise ParameterError(f"cannot write {path}: {reason}")
+
+
 def _verdict(claim, params, mode, method, passed, code_count, max_other, witness, t0) -> Verdict:
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     return Verdict(claim, params, mode, method, passed, code_count, max_other, witness, elapsed_ms)
@@ -136,7 +148,7 @@ def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
 
 
 def _next_degree(code: RMParams) -> int:
-    if code.trivial or code.k >= code.m:
+    if code.k >= code.m:
         raise ParameterError(f"{code} has no next order inside RM({code.m},{code.m})")
     return code.k + 1
 
@@ -269,8 +281,12 @@ def _open_log(path: str, mode: str):
 def _load_checkpoint(path: str, header: str, ids: int, top: int) -> list[int]:
     """The counts of a census log, each line checked; a last line without
     its newline is an interrupted write and is cut off so its chunk reruns."""
+    # the header, then per chunk: start id, space, CRC, space, each count with its space or newline
+    limit = len(header) + -(-ids // _CHECKPOINT_CHUNK) * (20 + 1 + 8 + 1 + 21 * _CHECKPOINT_CHUNK)
+    if not os.path.isfile(path) or os.path.getsize(path) > limit:
+        raise ParameterError(f"cannot open checkpoint {path}: not a regular file of at most {limit} bytes")
     with _open_log(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(limit)
     cut = data.rfind(b"\n") + 1
     lines = data[:cut].decode("ascii", "replace").split("\n")[:-1]
     where = f"checkpoint {path}, line"
@@ -535,10 +551,12 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     n = code.n
     code_count = distribution(ids[0])[n // 2]
     # the rep basis is unit tables, so rep g has weight popcount(g)
-    odd = [g for g in range(1, len(ids)) if g.bit_count() % 2]
-    max_other = max((distribution(ids[g])[n // 2] for g in odd), default=0)
+    odd = np.flatnonzero(np.bitwise_count(np.arange(len(ids))) & 1)
+    classes = np.flatnonzero(np.bincount(ids[odd])).tolist()
+    max_other = max((distribution(c)[n // 2] for c in classes), default=0)
     # a balanced word has the even weight n/2, so one even weight is enough
-    bad = next((g for g in odd if any(w % 2 == 0 for w in distribution(ids[g]).support)), None)
+    even = {c for c in classes if any(w % 2 == 0 for w in distribution(c).support)}
+    bad = next((g for g, c in zip(odd.tolist(), ids[odd].tolist()) if c in even), None)
     witness = None if bad is None else TruthTable(m, _build_rep(basis, bad))
     return _verdict("oddweight", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
                     witness is None, code_count, max_other, witness, t0)
@@ -557,10 +575,10 @@ def verify_hamming_coset_equidistribution(
     ids, distribution = _dual_table(code, basis, cap)
     n = code.n
     code_count = distribution(ids[0])[n // 2]
-    reference = distribution(ids[1])
-    max_other = reference[n // 2]
-    bad = next((g for g in range(2, len(ids)) if distribution(ids[g]) != reference), None)
-    witness = None if bad is None else TruthTable(m, _build_rep(basis, bad))
+    max_other = distribution(ids[1])[n // 2]
+    # distinct columns are distinct distributions: the Krawtchouk matrix is invertible
+    bad = np.flatnonzero(ids[2:] != ids[1])
+    witness = TruthTable(m, _build_rep(basis, int(bad[0]) + 2)) if len(bad) else None
     closed_b, closed_d = hamming_closed_forms(m)
     if witness is None and (code_count != closed_b or max_other != closed_d):
         raise ExactnessError(

@@ -47,26 +47,23 @@ def kraw_direct(k: int, x: int, n: int) -> int:
 
 def kraw_column(k: int, n: int) -> list[int]:
     """[P_k(i; n) for i in 0..n] via the three-term recurrence in the
-    argument i:  (n - i) P_k(i+1) = (n - 2k) P_k(i) - i P_k(i-1).
+    argument i:  (n - i) P_k(i+1) = (n - 2k) P_k(i) - i P_k(i-1),
+    from P_k(-1) = 0 and P_k(0) = C(n, k).
 
     Every division is checked exact; a remainder means the recurrence was
     misapplied and we refuse to return a wrong integer.
     """
     _check_kraw_args(k, 0, n)
-    col = [0] * (n + 1)
-    col[0] = comb(n, k)
-    if n == 0:
-        return col
-    col[1] = kraw_direct(k, 1, n)
-    for i in range(1, n):
-        num = (n - 2 * k) * col[i] - i * col[i - 1]
+    col = [0, comb(n, k)]
+    for i in range(n):
+        num = (n - 2 * k) * col[-1] - i * col[-2]
         q, r = divmod(num, n - i)
         if r:
             raise ExactnessError(
                 f"inexact recurrence step at k={k}, i={i}, n={n}: {num} / {n - i}"
             )
-        col[i + 1] = q
-    return col
+        col.append(q)
+    return col[1:]
 
 
 # Cached rows, keyed by (x, n).  2048 holds a full support (n + 1 rows)
@@ -76,24 +73,21 @@ def kraw_column(k: int, n: int) -> list[int]:
 def kraw_row(x: int, n: int) -> tuple[int, ...]:
     """(P_j(x; n) for j in 0..n) via the three-term recurrence in the
     degree j:  (j + 1) P_{j+1}(x) = (n - 2x) P_j(x) - (n - j + 1) P_{j-1}(x),
-    from P_0 = 1 and P_1 = n - 2x.
+    from P_{-1} = 0 and P_0 = 1.
 
     Every division is checked exact, as in kraw_column.
     """
     _check_kraw_args(0, x, n)
-    row = [1] * (n + 1)
-    if n == 0:
-        return tuple(row)
-    row[1] = n - 2 * x
-    for j in range(1, n):
-        num = (n - 2 * x) * row[j] - (n - j + 1) * row[j - 1]
+    row = [0, 1]
+    for j in range(n):
+        num = (n - 2 * x) * row[-1] - (n - j + 1) * row[-2]
         q, r = divmod(num, j + 1)
         if r:
             raise ExactnessError(
                 f"inexact degree recurrence at x={x}, j={j}, n={n}: {num} / {j + 1}"
             )
-        row[j + 1] = q
-    return tuple(row)
+        row.append(q)
+    return tuple(row[1:])
 
 
 def central_K(i: int, n: int) -> int:

@@ -38,25 +38,20 @@ def dimension_cap(override: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class RMParams:
-    """Parameters of RM(k,m), or the zero code {0} of length 2^m when
-    trivial is set (the dual of RM(m,m); k is then None)."""
+    """Parameters of RM(k,m), -1 <= k <= m; RM(-1,m) is the zero code {0}
+    of length 2^m, so that the dual of every RM(k,m) is RM(m-k-1,m)."""
 
-    k: int | None
+    k: int
     m: int
-    trivial: bool = False
 
     def __post_init__(self) -> None:
         _check_m(self.m)
-        if self.trivial:
-            if self.k is not None:
-                raise ParameterError("trivial code carries no order; use k=None")
-        else:
-            if not isinstance(self.k, int) or not 0 <= self.k <= self.m:
-                raise ParameterError(f"order k must satisfy 0 <= k <= m, got k={self.k!r}, m={self.m}")
+        if not isinstance(self.k, int) or not -1 <= self.k <= self.m:
+            raise ParameterError(f"order k must satisfy -1 <= k <= m, got k={self.k!r}, m={self.m}")
 
     @classmethod
     def zero_code(cls, m: int) -> "RMParams":
-        return cls(None, m, trivial=True)
+        return cls(-1, m)
 
     @property
     def n(self) -> int:
@@ -64,21 +59,15 @@ class RMParams:
 
     @property
     def dimension(self) -> int:
-        if self.trivial:
-            return 0
         return sum(comb(self.m, j) for j in range(self.k + 1))
 
     def __str__(self) -> str:
-        return f"{{0}}^{self.n}" if self.trivial else f"RM({self.k},{self.m})"
+        return f"{{0}}^{self.n}" if self.k < 0 else f"RM({self.k},{self.m})"
 
 
 def dual_params(p: RMParams) -> RMParams:
-    """The orthogonal code: RM(m-k-1, m) for k <= m-1; the zero code for
-    k = m; RM(m,m) for the zero code."""
-    if p.trivial:
-        return RMParams(p.m, p.m)
-    if p.k == p.m:
-        return RMParams.zero_code(p.m)
+    """The orthogonal code RM(m-k-1, m): the zero code for k = m, RM(m,m)
+    for the zero code."""
     return RMParams(p.m - p.k - 1, p.m)
 
 
@@ -178,8 +167,6 @@ def monomial_basis(p: RMParams, lowest: int = 0) -> list[TruthTable]:
     """Generator rows of RM(k,m): all monomials of degree <= k in
     graded-lexicographic order (by degree, then variable indices), or
     only those of degree lowest..k."""
-    if p.trivial:
-        return []
     return [
         monomial_tt(p.m, combo)
         for d in range(lowest, p.k + 1)
@@ -224,7 +211,7 @@ def rm_weight_distribution(p: RMParams, cap: int | None = None) -> WeightDistrib
 
 def mceliece_exponent(p: RMParams) -> int:
     """floor((m-1)/k), the divisibility exponent; needs k >= 1."""
-    if p.trivial or p.k == 0:
+    if p.k < 1:
         raise ParameterError("McEliece exponent needs order k >= 1")
     return (p.m - 1) // p.k
 
@@ -261,15 +248,10 @@ def _high_degree_mask(m: int, k: int) -> int:
 
 def rm_membership(t: TruthTable, p: RMParams) -> bool:
     """True iff t's ANF has degree <= k (the zero function belongs to
-    every code, including the trivial one)."""
+    every code, the zero code included)."""
     if t.m != p.m:
         raise ParameterError(f"table has m={t.m}, code has m={p.m}")
-    if p.trivial:
-        return t.bits == 0
-    if p.k >= p.m:
-        return True
-    coef = _mobius_bits(t.bits, t.m)
-    return coef & _high_degree_mask(p.m, p.k) == 0
+    return _mobius_bits(t.bits, t.m) & _high_degree_mask(p.m, p.k) == 0
 
 
 def pivot_positions(p: RMParams) -> tuple[int, ...]:
@@ -277,5 +259,5 @@ def pivot_positions(p: RMParams) -> tuple[int, ...]:
     code): an information set, on which the monomial generator matrix is
     unitriangular.  The other positions index the cosets of the code in
     the full space."""
-    mask = format(_high_degree_mask(p.m, -1 if p.trivial else p.k), f"0{p.n}b")
+    mask = format(_high_degree_mask(p.m, p.k), f"0{p.n}b")
     return tuple(pos for pos, bit in enumerate(mask) if bit == "0")

@@ -206,6 +206,13 @@ def test_weightdist_methods_agree(capsys):
     assert counts[16] == "36518" and counts[0] == "1"
 
 
+def test_weightdist_of_the_zero_code(capsys):
+    # RM(-1,3) is {0}^8, the dual of RM(3,3): its own walk and MacWilliams agree
+    for method in ("brute", "macwilliams"):
+        code, out, _ = run(capsys, "weightdist", "-k", "-1", "-m", "3", "--method", method, "--format", "csv")
+        assert (code, out) == (0, "weight,count\n0,1\n"), method
+
+
 def test_weightdist_validation(capsys):
     code, _, err = run(capsys, "weightdist", "-k", "4", "-m", "3")
     assert code == 2 and "invalid parameters" in err
@@ -357,6 +364,14 @@ def test_census_csv_golden(capsys):
     )
 
 
+def test_census_of_the_zero_code(capsys):
+    # each coset of {0}^4 is one word, balanced or not; the counts sum to C(4,2)
+    code, out, _ = run(capsys, "census", "-k", "-1", "-m", "2", "--scope", "full")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 15
+    assert [int(c) for _, c in rows] == [int(int(h, 16).bit_count() == 2) for h, _ in rows]
+
+
 def test_census_json_and_table(capsys):
     code, out, _ = run(capsys, "census", "-k", "1", "-m", "3", "--scope", "next",
                        "--format", "json")
@@ -414,6 +429,41 @@ def test_unwritable_paths_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("rmlab: invalid parameters: cannot ") and f" {argv[-1]}: " in err
+
+
+def test_unwritable_output_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
+    def census_balanced(*args):
+        raise AssertionError("the census ran before --output was checked")
+
+    monkeypatch.setattr(cli, "census_balanced", census_balanced)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)  # as for a user without write access
+    for target, reason in ((tmp_path / "nodir" / "x.csv", "No such file or directory"),
+                           (tmp_path, "Is a directory"), (tmp_path / "x.csv", "Permission denied")):
+        code, out, err = run(capsys, "census", "-k", "2", "-m", "5", "--scope", "full",
+                             "--format", "csv", "--output", str(target))
+        assert (code, out, err) == (2, "", f"rmlab: invalid parameters: cannot write {target}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overlong_checkpoint_is_refused(capsys, tmp_path):
+    # RM(1,3)'s 16 ids fit one chunk line of at most 30 + 21 * 4096 bytes
+    path, header = tmp_path / "f.log", "census 1 1 3 FULL_SPACE 15\n"
+    limit = len(header) + 30 + 21 * 4096
+    path.write_text(header + "0" * (limit + 1 - len(header)))
+    code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--checkpoint", str(path))
+    assert code == 2 and out == "" and f"not a regular file of at most {limit} bytes" in err
+
+
+def test_checkpoint_that_is_no_regular_file_is_refused_unread(tmp_path):
+    # /dev/zero never ends and a FIFO blocks its reader: neither may be opened
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for path in ("/dev/zero", str(fifo)):
+        argv = [sys.executable, "-m", "rmlab.cli", "census", "-k", "0", "-m", "3", "--checkpoint", path]
+        proc = run_child(argv, tmp_path, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"rmlab: invalid parameters: cannot open checkpoint {path}: "
+                               "not a regular file of at most 86074 bytes\n")
 
 
 def test_failing_census_writes_no_output_file(capsys, tmp_path):
@@ -541,7 +591,7 @@ def test_output_file_and_determinism(capsys, tmp_path):
     assert json.loads(a.read_text())["counts"][8] == "870"
 
 
-def run_child(argv, tmp_path):
+def run_child(argv, tmp_path, timeout=None):
     """Run argv in a fresh process that imports the rmlab under test.
 
     The package's parent directory goes first on PYTHONPATH, so neither the
@@ -550,7 +600,7 @@ def run_child(argv, tmp_path):
     env = dict(os.environ)
     src = str(Path(rmlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=timeout)
 
 
 def test_installed_entry_point(tmp_path):

@@ -49,7 +49,7 @@ def test_column_equals_direct_exhaustively():
 
 
 def test_row_equals_direct_exhaustively():
-    for n in range(0, 17):
+    for n in range(0, 65):
         for x in range(n + 1):
             assert list(kraw_row(x, n)) == [kraw_direct(j, x, n) for j in range(n + 1)]
     with pytest.raises(ParameterError):

@@ -64,12 +64,11 @@ def test_dimensions():
 
 
 def test_params_validation():
+    assert RMParams(-1, 3) == RMParams.zero_code(3)
     with pytest.raises(ParameterError):
-        RMParams(-1, 3)
+        RMParams(-2, 3)
     with pytest.raises(ParameterError):
         RMParams(4, 3)
-    with pytest.raises(ParameterError):
-        RMParams(1, 3, trivial=True)
     assert str(RMParams(2, 4)) == "RM(2,4)"
     assert str(RMParams.zero_code(3)) == "{0}^8"
 
@@ -81,7 +80,7 @@ def test_duality():
     assert dual_params(RMParams(3, 3)) == RMParams.zero_code(3)
     assert dual_params(RMParams.zero_code(3)) == RMParams(3, 3)
     for m in range(1, 6):
-        for k in range(m):
+        for k in range(-1, m + 1):
             p = RMParams(k, m)
             assert dual_params(dual_params(p)) == p
             assert p.dimension + dual_params(p).dimension == 1 << m
@@ -306,12 +305,15 @@ def test_pivot_positions():
 
 
 def test_membership_is_degree_at_most_k():
-    # uniform tables, plus codewords of each RM(d,m), so every k sees both
-    # members and non-members
+    # uniform tables, plus codewords of each RM(d,m), so every k from -1
+    # (the zero code) to m sees both members and non-members; every table
+    # for m <= 3
     rng = random.Random(13)
     for m in range(1, 11):
         n = 1 << m
         tables = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(8)]
+        if m <= 3:
+            tables += range(1 << n)
         for d in range(m + 1):
             basis = monomial_basis(RMParams(d, m))
             for _ in range(3):
@@ -323,7 +325,7 @@ def test_membership_is_degree_at_most_k():
         for bits in tables:
             t = TruthTable(m, bits)
             deg = degree_of(t)
-            for k in range(m + 1):
+            for k in range(-1, m + 1):
                 assert rm_membership(t, RMParams(k, m)) == (deg is None or deg <= k), (m, k, bits)
 
 
