@@ -15,14 +15,17 @@ cosets: censuses of balanced counts over coset families, and verdicts for
 A coset's rep combines the unit tables off RM(k,m)'s information set
 (full space) or the degree-(k+1) monomials; its id is the combination.
 
-theorem5, conjecture and exhaustive rm1 scan a sum-checked census for a
-strict maximum (_strict_max).  Brute censuses walk the code's span once
-per chunk of rep ids, counting every rep of the chunk in batched numpy
-passes; chunks shard deterministically across worker processes and can
-resume from an append-only, checksummed checkpoint log.  Exhaustive
-rm1's census is spectral; theorem5's transform method, oddweight,
-equidist and the transform coset distribution read every coset's
-distribution from one walk of the dual code (see _dual_table).
+Each coset-family verdict reads a sum-checked census and takes its
+witness from one scan of it (CosetCensus.witness): theorem5, conjecture
+and exhaustive rm1 a strict maximum (_strict_max), oddweight an even
+weight among the odd-weight cosets, equidist a second distribution.
+Brute censuses walk the code's span once per chunk of rep ids, counting
+every rep of the chunk in batched numpy passes; chunks shard
+deterministically across worker processes and can resume from an
+append-only, checksummed checkpoint log.  Exhaustive rm1's census is
+spectral; theorem5's transform method, oddweight, equidist and the
+transform coset distribution read every coset's distribution from one
+walk of the dual code (see _dual_table).
 """
 
 from __future__ import annotations
@@ -130,9 +133,10 @@ def require_writable(path: str) -> None:
         raise ParameterError(f"cannot write {path}: {reason}")
 
 
-def _verdict(claim, params, mode, method, passed, code_count, max_other, witness, t0) -> Verdict:
+def _verdict(claim, params, mode, method, code_count, max_other, witness, t0) -> Verdict:
+    """The verdict of a check that passes unless it found a witness."""
     elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return Verdict(claim, params, mode, method, passed, code_count, max_other, witness, elapsed_ms)
+    return Verdict(claim, params, mode, method, witness is None, code_count, max_other, witness, elapsed_ms)
 
 
 def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
@@ -236,6 +240,13 @@ class CosetCensus:
         if not 1 <= rep_id < (1 << len(self._basis)):
             raise ParameterError(f"rep id {rep_id} out of range")
         return TruthTable(self.code.m, _build_rep(self._basis, rep_id))
+
+    def witness(self, flagged: Sequence[bool], ids: np.ndarray | None = None) -> TruthTable | None:
+        """The rep of the first id whose class is flagged, over every id >= 1
+        or over the given ascending ids; None when there is none."""
+        ids = np.arange(1, len(self.classes)) if ids is None else ids
+        hit = ids[np.asarray(flagged, dtype=bool)[self.classes[ids]]]
+        return self.rep_table(int(hit[0])) if len(hit) else None
 
     def text_chunks(self, lead: str, texts: Sequence[str]) -> Iterator[str]:
         """The row lead + rep hex + texts[class] of every nontrivial coset
@@ -412,21 +423,20 @@ def _dual_table(
 
 def _dual_census(
     code: RMParams, scope: Scope, cap: int | None = None, coset_cap: int | None = None
-) -> CosetCensus:
-    """The census read from the dual table, one balanced count per distinct column."""
-    basis = _capped_rep_basis(code, scope, coset_cap)
-    ids, distribution = _dual_table(code, basis, cap)
+) -> tuple[CosetCensus, Callable[[int], WeightDistribution]]:
+    """The census read from the dual table, one balanced count per distinct
+    column, and the table's distribution of each class."""
+    ids, distribution = _dual_table(code, _capped_rep_basis(code, scope, coset_cap), cap)
     central = tuple(distribution(i)[code.n // 2] for i in range(int(ids.max()) + 1))
-    return _checked_census(code, scope, ids, central, cap)
+    return _checked_census(code, scope, ids, central, cap), distribution
 
 
 def _strict_max(claim, params, mode, method, census: CosetCensus, t0) -> Verdict:
     """The verdict that the code has more balanced words than every other
     coset of the census; the witness is the first coset reaching its count."""
-    code_count, max_other = census.code_balanced_count, census.max_other
-    reaching = np.flatnonzero(np.array([c >= code_count for c in census.counts])[census.classes[1:]])
-    witness = census.rep_table(int(reaching[0]) + 1) if len(reaching) else None
-    return _verdict(claim, params, mode, method, witness is None, code_count, max_other, witness, t0)
+    code_count = census.code_balanced_count
+    return _verdict(claim, params, mode, method, code_count, census.max_other,
+                    census.witness([c >= code_count for c in census.counts]), t0)
 
 
 def _check_theorem_hypothesis(k: int, m: int) -> None:
@@ -457,7 +467,7 @@ def verify_theorem_basic(
     elif method is Method.TRANSFORM:
         if checkpoint:
             raise ParameterError("checkpoints are for the brute census, not the transform method")
-        census = _dual_census(code, Scope.FULL_SPACE, cap, coset_cap)
+        census = _dual_census(code, Scope.FULL_SPACE, cap, coset_cap)[0]
     else:
         raise ParameterError("theorem verification supports BRUTE or TRANSFORM")
     return _strict_max("theorem5", params, Mode.EXHAUSTIVE, method, census, t0)
@@ -535,7 +545,7 @@ def verify_rm1_proposition(
         if witness is None and len(bad):
             witness = TruthTable(m, batch[bad[0]])
     return _verdict("rm1", {"m": m, "samples": samples, "seed": seed}, Mode.SAMPLED, Method.SPECTRAL,
-                    max_other < bound, bound, max_other, witness, t0)
+                    bound, max_other, witness, t0)
 
 
 def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | None = None) -> Verdict:
@@ -545,21 +555,14 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     t0 = time.monotonic()
     if m < 2:
         raise ParameterError(f"odd-weight coset check needs m >= 2, got {m}")
-    code = RMParams(m - 2, m)
-    basis = _capped_rep_basis(code, Scope.FULL_SPACE, coset_cap)
-    ids, distribution = _dual_table(code, basis, cap)
-    n = code.n
-    code_count = distribution(ids[0])[n // 2]
+    census, distribution = _dual_census(RMParams(m - 2, m), Scope.FULL_SPACE, cap, coset_cap)
     # the rep basis is unit tables, so rep g has weight popcount(g)
-    odd = np.flatnonzero(np.bitwise_count(np.arange(len(ids))) & 1)
-    classes = np.flatnonzero(np.bincount(ids[odd])).tolist()
-    max_other = max((distribution(c)[n // 2] for c in classes), default=0)
+    odd = np.flatnonzero(np.bitwise_count(np.arange(len(census.classes))) & 1)
+    max_other = max(census.counts[c] for c in set(census.classes[odd].tolist()))
     # a balanced word has the even weight n/2, so one even weight is enough
-    even = {c for c in classes if any(w % 2 == 0 for w in distribution(c).support)}
-    bad = next((g for g, c in zip(odd.tolist(), ids[odd].tolist()) if c in even), None)
-    witness = None if bad is None else TruthTable(m, _build_rep(basis, bad))
+    even = [any(w % 2 == 0 for w in distribution(c).support) for c in range(len(census.counts))]
     return _verdict("oddweight", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
-                    witness is None, code_count, max_other, witness, t0)
+                    census.code_balanced_count, max_other, census.witness(even, odd), t0)
 
 
 def verify_hamming_coset_equidistribution(
@@ -570,15 +573,10 @@ def verify_hamming_coset_equidistribution(
     t0 = time.monotonic()
     if m < 3:
         raise ParameterError(f"equidistribution check needs m >= 3, got {m}")
-    code = RMParams(m - 2, m)
-    basis = _capped_rep_basis(code, Scope.WITHIN_NEXT_ORDER, coset_cap)
-    ids, distribution = _dual_table(code, basis, cap)
-    n = code.n
-    code_count = distribution(ids[0])[n // 2]
-    max_other = distribution(ids[1])[n // 2]
+    census = _dual_census(RMParams(m - 2, m), Scope.WITHIN_NEXT_ORDER, cap, coset_cap)[0]
+    code_count, max_other = census.code_balanced_count, census.max_other
     # distinct columns are distinct distributions: the Krawtchouk matrix is invertible
-    bad = np.flatnonzero(ids[2:] != ids[1])
-    witness = TruthTable(m, _build_rep(basis, int(bad[0]) + 2)) if len(bad) else None
+    witness = census.witness(np.arange(len(census.counts)) != census.classes[1])
     closed_b, closed_d = hamming_closed_forms(m)
     if witness is None and (code_count != closed_b or max_other != closed_d):
         raise ExactnessError(
@@ -586,7 +584,7 @@ def verify_hamming_coset_equidistribution(
             f"({code_count}, {max_other}) vs ({closed_b}, {closed_d})"
         )
     return _verdict("equidist", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
-                    witness is None, code_count, max_other, witness, t0)
+                    code_count, max_other, witness, t0)
 
 
 def coset_weight_distribution(

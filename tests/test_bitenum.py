@@ -310,7 +310,7 @@ def test_census_rows_decode_every_entry(monkeypatch):
             if chunk > 1 or len(harness._rep_basis(code, scope)) <= 8:  # skip thousands of 1-id chunks
                 census = census_balanced(code, scope)
                 # class labels differ (distinct counts against distinct dual columns)
-                assert census.id_counts() == harness._dual_census(code, scope).id_counts()
+                assert census.id_counts() == harness._dual_census(code, scope)[0].id_counts()
                 check_rows(census)
         # m = 7: two-word tables; the dual RM(6,7) is past the cap, so the
         # counts are checked against the two words rep and rep XOR 1 each coset has

@@ -18,7 +18,7 @@ from rmlab import _bitenum, cli
 from rmlab.bfcore import TruthTable
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import Method, Mode, Scope, Verdict, balanced_count_of_coset, census_balanced
-from rmlab.rmcodes import RMParams
+from rmlab.rmcodes import RMParams, WeightDistribution
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -353,6 +353,18 @@ def test_edited_next_order_log_is_refused(capsys, tmp_path):
     assert code == 4 and out == ""
     assert err == ("rmlab: exactness check failed: balanced counts of RM(1,3) and its cosets "
                    "sum to 78, not the balanced count of RM(2,3) = 70\n")
+
+
+@pytest.mark.parametrize("claim,total", [
+    ("oddweight", "C(16,8) = 12870"), ("equidist", "the balanced count of RM(3,4) = 12870"),
+], ids=["oddweight", "equidist"])
+def test_forged_balanced_count_in_a_dual_table_exits_4(capsys, patch_one_coset, claim, total):
+    # five balanced words more in coset 1 than its true distribution has
+    patch_one_coset(1, lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(d.n // 2, 5)]))
+    code, out, err = run(capsys, "verify", claim, "-m", "4")
+    assert code == 4 and out == ""
+    assert err == ("rmlab: exactness check failed: balanced counts of RM(2,4) and its cosets "
+                   f"sum to 12875, not {total}\n")
 
 
 def test_census_csv_golden(capsys):

@@ -361,7 +361,10 @@ def brute_census_pairs():
 @pytest.mark.parametrize("k,m,scope", list(brute_census_pairs()))
 def test_dual_census_equals_brute_census(k, m, scope):
     code = RMParams(k, m)
-    assert harness._dual_census(code, scope) == census_balanced(code, scope)
+    census, distribution = harness._dual_census(code, scope)
+    assert census == census_balanced(code, scope)
+    # the distribution of each class has the class's balanced count
+    assert [distribution(c)[code.n // 2] for c in range(len(census.counts))] == list(census.counts)
 
 
 @pytest.mark.parametrize("k,m,scope", list(brute_census_pairs()))
@@ -502,6 +505,28 @@ def test_strict_max_witness_is_the_first_id_reaching_the_code_count():
     v = harness._strict_max("theorem5", {}, Mode.EXHAUSTIVE, Method.BRUTE,
                             harness.CosetCensus(code, Scope.FULL_SPACE, tied, (0, 8, 14, 20)), 0.0)
     assert v.passed and (v.max_other, v.witness) == (8, None)
+
+
+def test_census_witness_is_the_first_flagged_id_of_the_scan():
+    code = RMParams(1, 3)
+    classes = np.array([2, 0, 1, 0, 1, 2, 0, 0, 1, 2, 0, 3, 0, 1, 0, 1])
+    census = harness.CosetCensus(code, Scope.FULL_SPACE, classes, (0, 8, 14, 20))
+    odd = np.arange(1, 16, 2)
+    # class 1 is at ids 2, 4, 8, 13 and 15: the first of all ids >= 1, and the first odd one
+    assert census.witness([False, True, False, False]) == census.rep_table(2)
+    assert census.witness([False, True, False, False], odd) == census.rep_table(13)
+    # with two classes flagged the earlier id wins
+    assert census.witness([False, False, True, True]) == census.rep_table(5)
+    assert census.witness(np.array([0, 0, 1, 1]) == 1, odd) == census.rep_table(5)
+    # no flagged class among the scanned ids: none at all, none among ids 1, 3 and 11,
+    # and id 0 (the code) is never scanned, though its class 2 is flagged
+    assert census.witness([False] * 4) is None
+    assert census.witness([False, True, False, False], np.array([1, 3, 11])) is None
+    only_code = np.where(classes == 2, 0, classes)
+    only_code[0] = 2
+    again = harness.CosetCensus(code, Scope.FULL_SPACE, only_code, (0, 8, 14, 20))
+    assert again.witness([False, False, True, False]) is None
+    assert again.witness([False, False, True, False], odd) is None
 
 
 def test_verify_theorem_hypothesis_rejections():
@@ -687,42 +712,29 @@ def test_verify_equidistribution():
         verify_hamming_coset_equidistribution(14)
 
 
-def patch_one_coset(monkeypatch, target, change):
-    """Give coset id target of every dual table a column of its own,
-    whose distribution is change(the true one)."""
-    real = harness._dual_table
-
-    def patched(code, basis, cap=None):
-        ids, distribution = real(code, basis, cap)
-        own = ids.max() + 1
-        true = distribution(ids[target])
-        ids = ids.copy()
-        ids[target] = own
-        return ids, lambda i: change(true) if i == own else distribution(i)
-
-    monkeypatch.setattr(harness, "_dual_table", patched)
-
-
 @pytest.mark.parametrize("weight,max_other", [(8, 5), (2, 0)])
-def test_oddweight_reports_the_first_coset_with_an_even_weight(monkeypatch, weight, max_other):
+def test_oddweight_reports_the_first_coset_with_an_even_weight(patch_one_coset, weight, max_other):
     code = RMParams(2, 4)
     reps = list(coset_representatives(code, Scope.FULL_SPACE))
     odd = [g for g, rep in enumerate(reps, start=1) if rep.bits.bit_count() % 2]
     target = odd[2]
-    patch_one_coset(monkeypatch, target,
-                    lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(weight, 5)]))
+    patch_one_coset(target, lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(weight, 5)]))
+    if max_other:
+        # balanced words forged into an odd coset break the census sum before any witness is sought
+        with pytest.raises(ExactnessError, match=rf"sum to {12870 + max_other}, not C\(16,8\) = 12870"):
+            verify_oddweight_cosets(4)
+        return
     v = verify_oddweight_cosets(4)
     assert not v.passed
     assert v.witness == reps[target - 1]
     assert (v.code_count, v.max_other) == (870, max_other)
 
 
-def test_equidist_reports_the_first_coset_that_differs(monkeypatch):
+def test_equidist_reports_the_first_coset_that_differs(patch_one_coset):
     code = RMParams(2, 4)
     reps = list(coset_representatives(code, Scope.WITHIN_NEXT_ORDER))
     target = 6
-    patch_one_coset(monkeypatch, target,
-                    lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(0, 1)]))
+    patch_one_coset(target, lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(0, 1)]))
     v = verify_hamming_coset_equidistribution(4)
     assert not v.passed
     assert v.witness == reps[target - 1]
