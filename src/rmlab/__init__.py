@@ -5,16 +5,10 @@ verification harnesses for balanced-function extremal claims."""
 from .bfcore import (
     MAX_M,
     AnfMonomialSet,
-    PointVector,
     TruthTable,
     anf_from_tt,
-    constant_tt,
-    degree_of,
-    is_balanced,
-    linear_tt,
     monomial_tt,
     tt_from_anf,
-    variable_tt,
 )
 from .errors import CapExceededError, ExactnessError, ParameterError, RmlabError
 from .harness import (
@@ -54,15 +48,11 @@ from .rmcodes import (
     mceliece_exponent,
     monomial_basis,
     pivot_positions,
-    rm_iterate,
     rm_membership,
     rm_weight_distribution,
 )
 from .spectral import (
     WalshSpectrum,
-    is_balanced_spectral,
-    parseval_check,
-    rm1_coset_balanced_count,
     wht,
     wht_many,
 )

@@ -229,7 +229,10 @@ class SpanCounter:
 
 def iter_span(basis: Sequence[int], n: int, offset: int = 0) -> Iterator[int]:
     """Yield every element of {offset XOR span(basis)} as a packed int,
-    in Gray order (consecutive elements differ by one basis vector)."""
+    in Gray order (consecutive elements differ by one basis vector), one
+    Python int at a time.  Nothing in the package walks a span this way:
+    it is the reference walker that the SpanCounter tests compare the
+    block walk against."""
     cur = offset
     yield cur
     for j in _gray_flip_sequence(len(basis)):

@@ -104,34 +104,8 @@ class TruthTable:
             raise ParameterError("nonzero padding bits in hex string")
         return cls(m, v >> pad)
 
-    def to_bitstring(self) -> str:
-        """The table as a 0/1 string, position 0 first."""
-        return format(self.bits, f"0{self.n}b")
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "TruthTable":
-        n = len(s)
-        if n < 2 or n & (n - 1):
-            raise ParameterError("bitstring length must be a power of two >= 2")
-        if set(s) - {"0", "1"}:
-            raise ParameterError("bitstring may only contain 0 and 1")
-        return cls(n.bit_length() - 1, int(s, 2))
-
     def __repr__(self) -> str:
         return f"TruthTable(m={self.m}, hex={self.to_hex()!r})"
-
-
-def constant_tt(m: int, value: int) -> TruthTable:
-    """The all-zero or all-one table."""
-    _check_m(m)
-    if value not in (0, 1):
-        raise ParameterError("constant value must be 0 or 1")
-    return TruthTable(m, ((1 << (1 << m)) - 1) * value)
-
-
-def variable_tt(m: int, j: int) -> TruthTable:
-    """Truth table of the variable Y_j (1-indexed, Y_1 most significant)."""
-    return monomial_tt(m, [j])
 
 
 def monomial_tt(m: int, variables: Iterable[int]) -> TruthTable:
@@ -143,33 +117,6 @@ def monomial_tt(m: int, variables: Iterable[int]) -> TruthTable:
             raise ParameterError(f"variable index {j} out of range 1..{m}")
         bits &= _variable_pattern(m, j)
     return TruthTable(m, bits)
-
-
-@dataclass(frozen=True)
-class PointVector:
-    """A point x (or frequency omega) in F_2^m, coordinates (x_1..x_m)."""
-
-    m: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_m(self.m)
-        if len(self.coords) != self.m or set(self.coords) - {0, 1}:
-            raise ParameterError(f"need exactly {self.m} coordinates in {{0,1}}")
-
-    @classmethod
-    def from_index(cls, m: int, idx: int) -> "PointVector":
-        """Decode the big-endian table index (x_1 is the MSB)."""
-        _check_m(m)
-        if not 0 <= idx < (1 << m):
-            raise ParameterError(f"index {idx} out of range for m={m}")
-        return cls(m, tuple((idx >> (m - j)) & 1 for j in range(1, m + 1)))
-
-    def to_index(self) -> int:
-        idx = 0
-        for c in self.coords:
-            idx = (idx << 1) | c
-        return idx
 
 
 @dataclass(frozen=True)
@@ -202,16 +149,6 @@ class AnfMonomialSet:
         if not self.monomials:
             return None
         return max(len(s) for s in self.monomials)
-
-    def to_str(self) -> str:
-        """`+`-separated monomials like ``Y1Y2+Y3+1``; zero function is ``0``."""
-        if not self.monomials:
-            return "0"
-        ordered = sorted(self.monomials, key=lambda s: (-len(s), sorted(s)))
-        terms = []
-        for s in ordered:
-            terms.append("".join(f"Y{j}" for j in sorted(s)) if s else "1")
-        return "+".join(terms)
 
     @classmethod
     def from_str(cls, m: int, text: str) -> "AnfMonomialSet":
@@ -267,22 +204,3 @@ def anf_from_tt(t: TruthTable) -> AnfMonomialSet:
         monomials.append(frozenset(j for j in range(1, t.m + 1) if (u >> (t.m - j)) & 1))
         coef ^= low
     return AnfMonomialSet(t.m, frozenset(monomials))
-
-
-def degree_of(t: TruthTable) -> int | None:
-    """Algebraic degree; None for the zero function."""
-    return anf_from_tt(t).degree
-
-
-def linear_tt(omega: PointVector) -> TruthTable:
-    """Truth table of the linear functional x -> x . omega."""
-    bits = 0
-    for j, c in enumerate(omega.coords, start=1):
-        if c:
-            bits ^= _variable_pattern(omega.m, j)
-    return TruthTable(omega.m, bits)
-
-
-def is_balanced(a: TruthTable) -> bool:
-    """True iff the table has exactly 2^(m-1) ones."""
-    return a.bits.bit_count() == (a.n >> 1)

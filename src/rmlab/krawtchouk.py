@@ -90,18 +90,23 @@ def kraw_row(x: int, n: int) -> tuple[int, ...]:
     return tuple(row[1:])
 
 
-def central_K(i: int, n: int) -> int:
-    """K(i, n) = P_{n/2}(i; n) for even n."""
-    col = central_column(n)
+def _check_central_args(n: int, i: int = 0) -> None:
+    if n <= 0 or n % 2:
+        raise ParameterError(f"central column needs even n >= 2, got {n}")
     if not 0 <= i <= n:
         raise ParameterError(f"argument i must be in 0..n, got i={i}, n={n}")
-    return col[i]
+
+
+def central_K(i: int, n: int) -> int:
+    """K(i, n) = P_{n/2}(i; n) for even n; n and i are checked before
+    the column is built."""
+    _check_central_args(n, i)
+    return kraw_column(n // 2, n)[i]
 
 
 def central_column(n: int) -> list[int]:
     """[K(i, n) for i in 0..n], n even: the column of degree n/2."""
-    if n <= 0 or n % 2:
-        raise ParameterError(f"central column needs even n >= 2, got {n}")
+    _check_central_args(n)
     return kraw_column(n // 2, n)
 
 
@@ -116,10 +121,7 @@ class SignClass(enum.Enum):
 def sign_class(i: int, n: int) -> SignClass:
     """Sign of K(i, n) from the residue of i mod 4 (n even): odd i gives
     zero, i = 2 (mod 4) negative, i = 0 (mod 4) positive."""
-    if n <= 0 or n % 2:
-        raise ParameterError(f"sign classes need even n >= 2, got {n}")
-    if not 0 <= i <= n:
-        raise ParameterError(f"argument i must be in 0..n, got i={i}, n={n}")
+    _check_central_args(n, i)
     if i % 2:
         return SignClass.ZERO
     if i % 4 == 2:

@@ -153,15 +153,6 @@ class WeightDistribution:
         with unlimited_int_digits():
             return {"n": self.n, "counts": [str(c) for c in self.to_dense()]}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "WeightDistribution":
-        n = obj["n"]
-        with unlimited_int_digits():
-            counts = [int(s) for s in obj["counts"]]
-        if len(counts) != n + 1:
-            raise ParameterError(f"counts length {len(counts)} != n+1 = {n + 1}")
-        return cls.from_dense(counts)
-
 
 def monomial_basis(p: RMParams, lowest: int = 0) -> list[TruthTable]:
     """Generator rows of RM(k,m): all monomials of degree <= k in
@@ -183,15 +174,6 @@ def require_cap(dim: int, cap: int | None, what: str) -> None:
             f"{what} needs dimension {dim} > enumeration cap {limit} "
             "(raise the cap explicitly)"
         )
-
-
-def rm_iterate(p: RMParams, cap: int | None = None) -> Iterator[TruthTable]:
-    """All 2^K codewords, Gray-ordered: successive words differ by one
-    basis monomial (one XOR per step)."""
-    require_cap(p.dimension, cap, f"enumerating {p}")
-    basis = [t.bits for t in monomial_basis(p)]
-    for bits in _bitenum.iter_span(basis, p.n):
-        yield TruthTable(p.m, bits)
 
 
 def code_counter(p: RMParams, against: Sequence[int] = ()) -> _bitenum.SpanCounter:

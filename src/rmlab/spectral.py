@@ -113,22 +113,6 @@ def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
     return _spectra(tables, m).astype(np.int32)
 
 
-def parseval_check(s: WalshSpectrum) -> bool:
-    """True iff sum of squared spectrum values equals 2^(2m), exactly."""
-    return sum(v * v for v in s.values) == 1 << (2 * s.m)
-
-
-def is_balanced_spectral(f: TruthTable) -> bool:
-    """Balanced iff W_f(0) = 0."""
-    return wht(f).values[0] == 0
-
-
-def rm1_coset_balanced_count(f: TruthTable) -> int:
-    """Number of balanced words in the coset f + RM(1,m): the one-row case
-    of the batched, checked count _rm1_counts."""
-    return int(_rm1_counts([f.bits], f.m)[0][0])
-
-
 def _rm1_counts(tables: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """Balanced words in each table's coset of RM(1,m), twice its spectral
     zeros (wt(f + x.omega) = (n - W_f(omega))/2, and complementing flips

@@ -20,7 +20,6 @@ dual word by its syndrome against a whole rep basis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -54,15 +53,6 @@ class CosetSpec:
 
     def to_json_obj(self) -> dict:
         return {"k": self.code.k, "m": self.code.m, "rep_hex": self.rep.to_hex()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CosetSpec":
-        code = RMParams(obj["k"], obj["m"])
-        return cls(code, TruthTable.from_hex(code.m, obj["rep_hex"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CosetSpec":
-        return cls.from_json_obj(json.loads(text))
 
 
 class CosetDualProfile(WeightDistribution):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rmlab import harness, rmcodes, spectral, transforms
-from rmlab._bitenum import SpanCounter
+from rmlab._bitenum import SpanCounter, iter_span
 from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import (
@@ -36,11 +36,9 @@ from rmlab.rmcodes import (
     dual_params,
     monomial_basis,
     pivot_positions,
-    rm_iterate,
     rm_membership,
     rm_weight_distribution,
 )
-from rmlab.spectral import rm1_coset_balanced_count
 from rmlab.transforms import CosetSpec, assmus_mattson, coset_dual_profile
 
 
@@ -60,11 +58,16 @@ def test_representatives_are_distinct_cosets():
             assert not rm_membership(a ^ b, code)
 
 
+def codewords(p: RMParams) -> set[int]:
+    """Every word of p, by the reference Gray walk over its monomial basis."""
+    return set(iter_span([t.bits for t in monomial_basis(p)], p.n))
+
+
 def test_full_scope_reps_tile_the_space():
     code = RMParams(1, 3)
-    words = {w.bits for w in rm_iterate(code)}
+    words = codewords(code)
     for rep in coset_representatives(code, Scope.FULL_SPACE):
-        words.update(w.bits ^ rep.bits for w in rm_iterate(code))
+        words.update(w ^ rep.bits for w in codewords(code))
     assert len(words) == 1 << code.n
 
 
@@ -74,10 +77,10 @@ def test_within_scope_reps_tile_the_next_order():
     bigger = RMParams(2, 3)
     for r in reps:
         assert rm_membership(r, bigger)
-    words = {w.bits for w in rm_iterate(code)}
+    words = codewords(code)
     for rep in reps:
-        words.update(w.bits ^ rep.bits for w in rm_iterate(code))
-    assert words == {w.bits for w in rm_iterate(bigger)}
+        words.update(w ^ rep.bits for w in codewords(code))
+    assert words == codewords(bigger)
 
 
 def test_rep_basis_equals_the_pivot_and_combination_construction():
@@ -159,7 +162,7 @@ def test_spectral_count_matches_enumeration():
         f = TruthTable(3, bits)
         if rm_membership(f, code):
             continue
-        assert rm1_coset_balanced_count(f) == balanced_count_of_coset(code, f)
+        assert spectral._rm1_counts([f.bits], 3)[0][0] == balanced_count_of_coset(code, f)
     rng = random.Random(5)
     for m in (4, 5, 6):
         code = RMParams(1, m)
@@ -169,7 +172,7 @@ def test_spectral_count_matches_enumeration():
             f = TruthTable(m, rng.getrandbits(n))
             if rm_membership(f, code):
                 continue
-            assert rm1_coset_balanced_count(f) == balanced_count_of_coset(code, f)
+            assert spectral._rm1_counts([f.bits], m)[0][0] == balanced_count_of_coset(code, f)
             done += 1
 
 
@@ -621,7 +624,7 @@ def test_sampled_verdict_equals_the_rejection_loop():
         while len(counts) < 3000:
             f = TruthTable(m, rng.getrandbits(1 << m))
             if not rm_membership(f, RMParams(1, m)):
-                counts.append(rm1_coset_balanced_count(f))
+                counts.append(int(spectral._rm1_counts([f.bits], m)[0][0]))
         running = [max(counts[: i + 1]) for i in range(len(counts))]
         records = [i for i in range(1, len(counts)) if running[i] > running[i - 1]]
         assert records

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlab import krawtchouk
 from rmlab.errors import ParameterError
 from rmlab.krawtchouk import (
     SignClass,
@@ -68,6 +69,16 @@ def test_central_values():
         central_K(0, 7)
     with pytest.raises(ParameterError):
         central_column(0)
+
+
+@pytest.mark.parametrize("i", [-1, 100_001])
+def test_central_K_checks_i_before_it_builds_the_column(monkeypatch, i):
+    def no_column(k, n):
+        raise AssertionError(f"built the degree-{k} column for n={n}")
+
+    monkeypatch.setattr(krawtchouk, "kraw_column", no_column)
+    with pytest.raises(ParameterError, match="argument i must be in 0..n"):
+        central_K(i, 100_000)
 
 
 def test_central_column_equals_half_degree_column():

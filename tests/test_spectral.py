@@ -6,26 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab.bfcore import (
-    AnfMonomialSet,
-    PointVector,
-    TruthTable,
-    constant_tt,
-    is_balanced,
-    linear_tt,
-    tt_from_anf,
-)
+from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab import spectral
 from rmlab.errors import ExactnessError, ParameterError
 from rmlab.rmcodes import RMParams, rm_membership
-from rmlab.spectral import (
-    WalshSpectrum,
-    is_balanced_spectral,
-    parseval_check,
-    rm1_coset_balanced_count,
-    wht,
-    wht_many,
-)
+from rmlab.spectral import WalshSpectrum, wht, wht_many
+
+
+def linear_tt(m: int, omega: int) -> TruthTable:
+    """The table of x -> x . omega, from its ANF: Y_j for each bit of
+    omega (Y_1 the most significant)."""
+    return tt_from_anf(AnfMonomialSet.of(m, [[j] for j in range(1, m + 1) if (omega >> (m - j)) & 1]))
+
+
+def parseval_holds(s: WalshSpectrum) -> bool:
+    """The squared spectrum sums to 2^(2m), in Python ints."""
+    return sum(v * v for v in s.values) == 1 << (2 * s.m)
+
+
+def rm1_count(f: TruthTable) -> int:
+    """Balanced words in f + RM(1,m): the one-row case of _rm1_counts."""
+    return int(spectral._rm1_counts([f.bits], f.m)[0][0])
 
 
 def wht_definitional(f: TruthTable) -> list[int]:
@@ -77,7 +78,7 @@ def sign_rows(tables: list[int], m: int) -> np.ndarray:
 
 
 def test_spectrum_examples():
-    assert wht(constant_tt(2, 0)).values == (4, 0, 0, 0)
+    assert wht(TruthTable(2, 0)).values == (4, 0, 0, 0)
     bent = tt_from_anf(AnfMonomialSet.from_str(2, "Y1Y2"))
     assert wht(bent).values == (2, 2, 2, -2)
 
@@ -86,7 +87,7 @@ def test_linear_functions_have_point_spectra():
     for m in range(1, 5):
         n = 1 << m
         for idx in range(n):
-            s = wht(linear_tt(PointVector.from_index(m, idx)))
+            s = wht(linear_tt(m, idx))
             expected = [0] * n
             expected[idx] = n
             assert list(s.values) == expected
@@ -97,7 +98,7 @@ def test_fast_equals_definitional_exhaustive_m3():
         f = TruthTable(3, bits)
         s = wht(f)
         assert list(s.values) == wht_definitional(f)
-        assert parseval_check(s)
+        assert parseval_holds(s)
 
 
 def test_fast_equals_definitional_random():
@@ -118,28 +119,20 @@ def test_dual_form_exhaustive_m_le_4():
     # W_f(omega) = 2^m - 2 wt(f + x.omega)
     for m in range(1, 4):
         n = 1 << m
-        lins = [linear_tt(PointVector.from_index(m, w)) for w in range(n)]
+        lins = [linear_tt(m, w) for w in range(n)]
         for bits in range(1 << n):
             f = TruthTable(m, bits)
             s = wht(f)
             for w in range(n):
                 assert s.values[w] == n - 2 * (f ^ lins[w]).bits.bit_count()
     m, n = 4, 16
-    lin_bits = [linear_tt(PointVector.from_index(m, w)).bits for w in range(n)]
+    lin_bits = [linear_tt(m, w).bits for w in range(n)]
     tables = list(range(1 << n))
     spectra = wht_many(tables, m)
     fs = np.arange(1 << n, dtype=np.uint32)
     for w, lb in enumerate(lin_bits):
         weights = np.bitwise_count(fs ^ np.uint32(lb))
         assert np.array_equal(spectra[:, w], n - 2 * weights.astype(np.int32))
-
-
-def test_parseval():
-    assert parseval_check(WalshSpectrum(2, (4, 0, 0, 0)))
-    # arithmetically fine yet not a real spectrum: the check is necessary,
-    # not sufficient
-    assert parseval_check(WalshSpectrum(2, (2, 2, 2, 2)))
-    assert not parseval_check(WalshSpectrum(2, (2, 2, 2, 0)))
 
 
 def test_spectrum_validation():
@@ -157,7 +150,7 @@ def test_involution_and_balance(data):
     m, bits = data
     f = TruthTable(m, bits)
     s = wht(f)
-    assert parseval_check(s)
+    assert parseval_holds(s)
     # transforming the spectrum again recovers n * (-1)^f
     arr = np.array(s.values, dtype=np.int64)
     h = 1
@@ -170,34 +163,34 @@ def test_involution_and_balance(data):
         h *= 2
     signs = [1 - 2 * f.bit(i) for i in range(n)]
     assert (arr // n).tolist() == signs
-    assert is_balanced_spectral(f) == is_balanced(f)
+    assert (s.values[0] == 0) == (f.bits.bit_count() == n // 2)
 
 
 def test_balance_examples():
-    assert is_balanced_spectral(TruthTable.from_bitstring("0110"))
-    assert not is_balanced_spectral(TruthTable.from_bitstring("0100"))
+    assert wht(TruthTable(2, 0b0110)).values[0] == 0
+    assert wht(TruthTable(2, 0b0100)).values[0] != 0
     for m in range(2, 5):
         for idx in range(1, 1 << m):
-            assert is_balanced_spectral(linear_tt(PointVector.from_index(m, idx)))
+            assert wht(linear_tt(m, idx)).values[0] == 0
 
 
 def test_rm1_count_on_affine_functions():
     for m in range(1, 6):
         n = 1 << m
         for idx in (0, 1, n - 1):
-            f = linear_tt(PointVector.from_index(m, idx))
-            assert rm1_coset_balanced_count(f) == (1 << (m + 1)) - 2
+            f = linear_tt(m, idx)
+            assert rm1_count(f) == (1 << (m + 1)) - 2
             comp = TruthTable(m, f.bits ^ ((1 << n) - 1))
-            assert rm1_coset_balanced_count(comp) == (1 << (m + 1)) - 2
+            assert rm1_count(comp) == (1 << (m + 1)) - 2
 
 
 def test_rm1_count_examples():
     bent = tt_from_anf(AnfMonomialSet.from_str(2, "Y1Y2"))
-    assert rm1_coset_balanced_count(bent) == 0
+    assert rm1_count(bent) == 0
     f = tt_from_anf(AnfMonomialSet.from_str(3, "Y1Y2"))
     # spectrum (+-4 at the four omega with omega_3 = 0, zero elsewhere):
     # four zeros, so 8 balanced words in the coset
-    assert rm1_coset_balanced_count(f) == 8
+    assert rm1_count(f) == 8
 
 
 def test_rm1_count_checks_parseval(monkeypatch):
@@ -205,7 +198,7 @@ def test_rm1_count_checks_parseval(monkeypatch):
     bad[3, 5] = -bad[3, 5]
     monkeypatch.setitem(spectral._HADAMARD, (4, np.float32), bad)
     with pytest.raises(ExactnessError, match="Parseval"):
-        rm1_coset_balanced_count(tt_from_anf(AnfMonomialSet.from_str(4, "Y1Y2Y3")))
+        rm1_count(tt_from_anf(AnfMonomialSet.from_str(4, "Y1Y2Y3")))
 
 
 def rm1_counts_oracle(tables: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +215,7 @@ def test_rm1_counts_equal_the_int64_oracle():
     for m in range(1, 14):
         n = 1 << m
         ones = (1 << n) - 1
-        linear = [linear_tt(PointVector.from_index(m, rng.randrange(n))).bits for _ in range(4)]
+        linear = [linear_tt(m, rng.randrange(n)).bits for _ in range(4)]
         # affine rows and their near neighbours, whose spectra peak at 2^m - 2
         affine = linear + [t ^ ones for t in linear]
         near = [t ^ (1 << rng.randrange(n)) for t in affine]
@@ -253,7 +246,7 @@ def test_rm1_count_refuses_m_past_float64_parseval():
     tracemalloc.start()
     try:
         with pytest.raises(ExactnessError, match=r"Parseval's sum at m=27 may reach 2\^55"):
-            rm1_coset_balanced_count(f)
+            rm1_count(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,7 +259,7 @@ def test_proposition_bound_m3_exhaustive():
         f = TruthTable(3, bits)
         if rm_membership(f, code):
             continue
-        assert rm1_coset_balanced_count(f) < 14
+        assert rm1_count(f) < 14
 
 
 def test_proposition_bound_random():
