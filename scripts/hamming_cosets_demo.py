@@ -8,23 +8,19 @@ The closed forms are
     in_code   = [ C(n,n/2) + (n-1) C(n/2,n/4) ] / n
     per_coset = [ C(n,n/2) -       C(n/2,n/4) ] / n
 
-with n = 2^m.  The transform column recomputes both counts from the
-distribution of the dual RM(1,m) and the orthogonality profile of one
-degree-(m-1) monomial representative.
+with n = 2^m.  The transform column recomputes both counts from walks
+of the dual RM(1,m): in_code by MacWilliams from its distribution, and
+per_coset from the dual table of one degree-(m-1) monomial
+representative (coset_weight_distribution).
 """
 
 import argparse
 import sys
 
 from rmlab.bfcore import AnfMonomialSet, tt_from_anf
+from rmlab.harness import coset_weight_distribution
 from rmlab.rmcodes import RMParams, dual_params, rm_weight_distribution
-from rmlab.transforms import (
-    CosetSpec,
-    assmus_mattson,
-    coset_dual_profile,
-    hamming_closed_forms,
-    macwilliams,
-)
+from rmlab.transforms import hamming_closed_forms, macwilliams
 
 
 def transform_pair(m: int) -> tuple[int, int]:
@@ -33,8 +29,7 @@ def transform_pair(m: int) -> tuple[int, int]:
     B = rm_weight_distribution(dual_params(code))
     in_code = macwilliams(B, code.dimension, n)[n // 2]
     rep = tt_from_anf(AnfMonomialSet(m, frozenset([frozenset(range(1, m))])))
-    profile = coset_dual_profile(CosetSpec(code, rep))
-    per_coset = assmus_mattson(profile, B, code.dimension, n)[n // 2]
+    per_coset = coset_weight_distribution(code, rep)[n // 2]
     return in_code, per_coset
 
 

@@ -56,14 +56,6 @@ from .spectral import (
     wht,
     wht_many,
 )
-from .transforms import (
-    CosetDualProfile,
-    CosetSpec,
-    assmus_mattson,
-    balanced_gap,
-    coset_dual_profile,
-    hamming_closed_forms,
-    macwilliams,
-)
+from .transforms import hamming_closed_forms, macwilliams
 
 __version__ = "0.1.0"

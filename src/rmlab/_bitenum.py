@@ -227,7 +227,7 @@ class SpanCounter:
         return _popcount_rows(matches).astype(np.int64)
 
 
-def iter_span(basis: Sequence[int], n: int, offset: int = 0) -> Iterator[int]:
+def iter_span(basis: Sequence[int], offset: int = 0) -> Iterator[int]:
     """Yield every element of {offset XOR span(basis)} as a packed int,
     in Gray order (consecutive elements differ by one basis vector), one
     Python int at a time.  Nothing in the package walks a span this way:

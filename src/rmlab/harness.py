@@ -56,10 +56,11 @@ from .rmcodes import (
     monomial_basis,
     pivot_positions,
     require_cap,
+    rm_membership,
     rm_weight_distribution,
 )
 from .spectral import _exact_float, _rm1_counts, _wht_rows
-from .transforms import CosetSpec, hamming_closed_forms, macwilliams
+from .transforms import hamming_closed_forms, macwilliams
 
 
 class Scope(enum.Enum):
@@ -401,7 +402,10 @@ def _dual_table(
     by MacWilliams for cosets: A_g(j) = 2^(K-n) sum_w F_g(w) P_j(w;n), where
     F_g(w) = sum_{wt b = w} (-1)^(g.s(b)) is the Hadamard transform over the
     syndrome s(b) of column w of the (s, wt) histogram, at most 2^dim(dual)
-    in size.  Returns each id's distinct column of F and a cached contraction."""
+    in size.  Every rep but id 0's lies outside the code, so half the dual
+    is orthogonal to it (all of it at id 0): F_g sums to 0 over w (to
+    2^dim(dual) at g = 0), as checked.  Returns each id's distinct column
+    of F and a cached contraction."""
     r, n, dual = len(basis), code.n, dual_params(code)
     require_cap(dual.dimension, cap, f"dual walk of {code} over {dual}")
     if r > 64:
@@ -411,6 +415,12 @@ def _dual_table(
     hist = code_counter(dual, basis).weight_histogram().reshape(1 << r, n + 1)
     weights = np.flatnonzero(hist.any(axis=0)).tolist()
     spectra = _wht_rows(np.ascontiguousarray(hist[:, weights].T, dtype=dtype)).astype(np.int64)
+    signed = spectra.sum(axis=0)
+    signed[0] -= 1 << dual.dimension
+    if signed.any():
+        g = int(np.flatnonzero(signed)[0])
+        raise ExactnessError(f"dual table of {code}: the dual words orthogonal to rep id {g} "
+                             f"are not {'all' if g == 0 else 'half'} of the 2^{dual.dimension}")
     columns, ids = np.unique(spectra.T, axis=0, return_inverse=True)
 
     @lru_cache(maxsize=None)
@@ -592,7 +602,10 @@ def coset_weight_distribution(
 ) -> WeightDistribution:
     """Full weight distribution of code + rep, by enumeration or by the
     dual-side transform; both require rep outside the code."""
-    CosetSpec(code, rep)  # raises unless rep has the code's m and lies outside the code
+    if rep.m != code.m:
+        raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
+    if rm_membership(rep, code):
+        raise ParameterError(f"representative {rep.to_hex()} lies in {code}; coset is trivial")
     if method is Method.BRUTE:
         require_cap(code.dimension, cap, f"coset distribution of {code}")
         return WeightDistribution.from_dense(code_counter(code).weight_histogram(rep.bits).tolist())

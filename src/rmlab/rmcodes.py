@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _bitenum
 from .bfcore import MAX_M, TruthTable, _check_m, _mobius_bits, monomial_tt
@@ -48,10 +48,6 @@ class RMParams:
         _check_m(self.m)
         if not isinstance(self.k, int) or not -1 <= self.k <= self.m:
             raise ParameterError(f"order k must satisfy -1 <= k <= m, got k={self.k!r}, m={self.m}")
-
-    @classmethod
-    def zero_code(cls, m: int) -> "RMParams":
-        return cls(-1, m)
 
     @property
     def n(self) -> int:
@@ -107,14 +103,6 @@ class WeightDistribution:
             if c <= 0:
                 raise ParameterError(f"count at weight {w} must be positive, got {c}")
             prev = w
-
-    @classmethod
-    def from_counts(cls, n: int, counts: Mapping[int, int] | Iterable[tuple[int, int]]) -> "WeightDistribution":
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        acc: dict[int, int] = {}
-        for w, c in items:
-            acc[w] = acc.get(w, 0) + c
-        return cls(n, tuple(sorted((w, c) for w, c in acc.items() if c)))
 
     @classmethod
     def from_dense(cls, counts: Iterable[int]) -> "WeightDistribution":

@@ -1,0 +1,62 @@
+"""An oracle for coset weight distributions that shares nothing with
+harness._dual_table but the span walker.  The dual words orthogonal to
+the rep are a subcode of the dual, walked unkeyed; its histogram b and
+the dual's B give
+
+    d_j = 2^(K-n) sum_i (2 b_i - B_i) P_j(i;n)
+
+by dense Krawtchouk columns (the recurrence in the argument i, where the
+package's transforms use rows and the recurrence in the degree)."""
+
+from functools import lru_cache
+
+from rmlab._bitenum import SpanCounter
+from rmlab.bfcore import TruthTable
+from rmlab.krawtchouk import central_column, kraw_column
+from rmlab.rmcodes import RMParams, WeightDistribution, dual_params, monomial_basis
+
+
+def span_distribution(basis: list[int], n: int) -> WeightDistribution:
+    return WeightDistribution.from_dense(SpanCounter(basis, n).weight_histogram().tolist())
+
+
+def orthogonal_profile(code: RMParams, rep: TruthTable) -> tuple[WeightDistribution, WeightDistribution]:
+    """(B, b): the dual's distribution, and that of its words orthogonal to
+    rep (rep outside the code).  The subcode's basis drops one generator p
+    with odd parity against rep and XORs p into every other odd one."""
+    dual = [t.bits for t in monomial_basis(dual_params(code))]
+    odd = [(g & rep.bits).bit_count() % 2 for g in dual]
+    assert any(odd), "rep lies in the code"
+    p = dual[odd.index(1)]
+    sub = [g ^ p if o else g for g, o in zip(dual, odd) if g != p]
+    return span_distribution(dual, code.n), span_distribution(sub, code.n)
+
+
+@lru_cache(maxsize=None)
+def kraw_columns(n: int) -> tuple[list[int], ...]:
+    return tuple(kraw_column(j, n) for j in range(n + 1))
+
+
+def dense_transform(coeffs: dict[int, int], K: int, n: int) -> WeightDistribution:
+    """2^(K-n) sum_i c_i P_j(i;n) for every j, every division checked exact."""
+    dense = []
+    for col in kraw_columns(n):
+        q, r = divmod(sum(c * col[i] for i, c in coeffs.items()), 1 << (n - K))
+        assert r == 0
+        dense.append(q)
+    return WeightDistribution.from_dense(dense)
+
+
+def coset_distribution(code: RMParams, rep: TruthTable) -> WeightDistribution:
+    B, b = orthogonal_profile(code, rep)
+    return dense_transform({w: 2 * b[w] - c for w, c in B.pairs}, code.dimension, code.n)
+
+
+def balanced_gap(code: RMParams, rep: TruthTable) -> int:
+    """The code's balanced words minus the coset's,
+    2^(K-n+1) sum_i (B_i - b_i) K(i,n), with K(i,n) = P_{n/2}(i;n)."""
+    B, b = orthogonal_profile(code, rep)
+    col = central_column(code.n)
+    q, r = divmod(2 * sum((c - b[w]) * col[w] for w, c in B.pairs), 1 << (code.n - code.dimension))
+    assert r == 0
+    return q

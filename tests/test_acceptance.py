@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from coset_oracle import orthogonal_profile
 from rmlab.bfcore import TruthTable, tt_from_anf, AnfMonomialSet
 from rmlab.harness import (
     Method,
@@ -14,6 +15,7 @@ from rmlab.harness import (
     Scope,
     balanced_count_of_coset,
     coset_representatives,
+    coset_weight_distribution,
     verify_oddweight_cosets,
     verify_quotient_conjecture,
     verify_rm1_proposition,
@@ -28,14 +30,7 @@ from rmlab.rmcodes import (
     rm_weight_distribution,
 )
 from rmlab.spectral import _rm1_counts, wht, wht_many
-from rmlab.transforms import (
-    CosetSpec,
-    assmus_mattson,
-    balanced_gap,
-    coset_dual_profile,
-    hamming_closed_forms,
-    macwilliams,
-)
+from rmlab.transforms import hamming_closed_forms, macwilliams
 
 
 def test_criterion_01_central_krawtchouk_sign_pattern():
@@ -89,8 +84,7 @@ def test_criterion_03_closed_forms():
     B = rm_weight_distribution(dual_params(code))
     in_code = macwilliams(B, code.dimension, n)[n // 2]
     rep = tt_from_anf(AnfMonomialSet(5, frozenset([frozenset([1, 2, 3, 4])])))
-    profile = coset_dual_profile(CosetSpec(code, rep))
-    per_coset = assmus_mattson(profile, B, code.dimension, n)[n // 2]
+    per_coset = coset_weight_distribution(code, rep)[n // 2]
     assert hamming_closed_forms(5) == (in_code, per_coset) == (18796230, 18783360)
 
 
@@ -127,18 +121,20 @@ def test_criterion_04_strict_maximum_exhaustive():
 
 def test_criterion_05_balanced_gap_consistency():
     """For every coset checked by the transform in the previous
-    criterion, the gap formula equals the difference of the two central
-    distribution entries and is strictly positive."""
+    criterion, the gap formula 2^(K-n+1) sum_i (B_i - b_i) K(i,n), with b
+    the dual words orthogonal to the rep, equals the difference of the
+    two central distribution entries and is strictly positive."""
     for k, m in [(3, 5), (4, 5)]:
         code = RMParams(k, m)
         K, n = code.dimension, code.n
         B = rm_weight_distribution(dual_params(code))
         a_half = macwilliams(B, K, n)[n // 2]
+        col = central_column(n)
         for rep in coset_representatives(code, Scope.FULL_SPACE):
-            profile = coset_dual_profile(CosetSpec(code, rep))
-            d_half = assmus_mattson(profile, B, K, n)[n // 2]
-            gap = balanced_gap(B, profile, K, n)
-            assert gap == a_half - d_half
+            _, b = orthogonal_profile(code, rep)
+            gap, r = divmod(2 * sum((c - b[w]) * col[w] for w, c in B.pairs), 1 << (n - K))
+            assert r == 0
+            assert gap == a_half - coset_weight_distribution(code, rep)[n // 2]
             assert gap > 0
 
 

@@ -28,7 +28,7 @@ def oracle_histogram(basis, n, offset=0, keys=None, key_bits=0):
 def mask_oracle(basis, n, offset, mask):
     """Weight counts of the coset words with even intersection with mask."""
     hist = [0] * (n + 1)
-    for word in _bitenum.iter_span(basis, n, offset):
+    for word in _bitenum.iter_span(basis, offset):
         if (word & mask).bit_count() % 2 == 0:
             hist[word.bit_count()] += 1
     return hist
@@ -145,7 +145,7 @@ def test_dependent_basis_and_offset_in_span(monkeypatch):
 def count_oracle(basis, n, offset):
     """Weight counts of offset XOR span(basis), by iter_span and int.bit_count."""
     hist = [0] * (n + 1)
-    for word in _bitenum.iter_span(basis, n, offset):
+    for word in _bitenum.iter_span(basis, offset):
         hist[word.bit_count()] += 1
     return hist
 

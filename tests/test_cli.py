@@ -18,7 +18,7 @@ from rmlab import _bitenum, cli
 from rmlab.bfcore import TruthTable
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import Method, Mode, Scope, Verdict, balanced_count_of_coset, census_balanced
-from rmlab.rmcodes import RMParams, WeightDistribution
+from rmlab.rmcodes import RMParams
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -360,11 +360,33 @@ def test_edited_next_order_log_is_refused(capsys, tmp_path):
 ], ids=["oddweight", "equidist"])
 def test_forged_balanced_count_in_a_dual_table_exits_4(capsys, patch_one_coset, claim, total):
     # five balanced words more in coset 1 than its true distribution has
-    patch_one_coset(1, lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(d.n // 2, 5)]))
+    patch_one_coset(1, 8, 5)
     code, out, err = run(capsys, "verify", claim, "-m", "4")
     assert code == 4 and out == ""
     assert err == ("rmlab: exactness check failed: balanced counts of RM(2,4) and its cosets "
                    f"sum to 12875, not {total}\n")
+
+
+@pytest.mark.parametrize("argv,rep_id", [
+    (("verify", "theorem5", "-k", "2", "-m", "4", "--method", "transform"), 31),
+    (("cosetdist", "-k", "2", "-m", "4", "--rep", "8000"), 1),
+], ids=["theorem5", "cosetdist"])
+def test_forged_syndrome_key_in_a_dual_table_exits_4(capsys, monkeypatch, argv, rep_id):
+    # the first keyed generator with a nonzero syndrome gets syndrome 0.  In
+    # the full space some nonzero syndrome is then missed, and rep 8000 (the
+    # point 0, where only the constant generator is 1) looks orthogonal to
+    # the whole dual
+    real = _bitenum.SpanCounter
+
+    def forged(basis, n, keys=(), key_bits=0):
+        keys = list(keys)
+        if key_bits:
+            keys[next(j for j, key in enumerate(keys) if key)] = 0
+        return real(basis, n, keys, key_bits)
+
+    monkeypatch.setattr(_bitenum, "SpanCounter", forged)
+    assert run(capsys, *argv) == (4, "", "rmlab: exactness check failed: dual table of RM(2,4): the dual words "
+                                        f"orthogonal to rep id {rep_id} are not half of the 2^5\n")
 
 
 def test_census_csv_golden(capsys):

@@ -14,7 +14,6 @@ UNCALLED = {
     "sign_class": "the sign of each central Krawtchouk value",
     "is_doubly_even": "whether the dual's weights are all 0 mod 4",
     "mceliece_check": "McEliece divisibility of the dual's weights",
-    "balanced_gap": "the exact code-minus-coset gap the proof bounds",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coset_oracle import coset_distribution
 from rmlab import harness, rmcodes, spectral, transforms
 from rmlab._bitenum import SpanCounter, iter_span
 from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
@@ -37,9 +38,7 @@ from rmlab.rmcodes import (
     monomial_basis,
     pivot_positions,
     rm_membership,
-    rm_weight_distribution,
 )
-from rmlab.transforms import CosetSpec, assmus_mattson, coset_dual_profile
 
 
 def test_representative_counts():
@@ -60,7 +59,7 @@ def test_representatives_are_distinct_cosets():
 
 def codewords(p: RMParams) -> set[int]:
     """Every word of p, by the reference Gray walk over its monomial basis."""
-    return set(iter_span([t.bits for t in monomial_basis(p)], p.n))
+    return set(iter_span([t.bits for t in monomial_basis(p)]))
 
 
 def test_full_scope_reps_tile_the_space():
@@ -721,7 +720,7 @@ def test_oddweight_reports_the_first_coset_with_an_even_weight(patch_one_coset, 
     reps = list(coset_representatives(code, Scope.FULL_SPACE))
     odd = [g for g, rep in enumerate(reps, start=1) if rep.bits.bit_count() % 2]
     target = odd[2]
-    patch_one_coset(target, lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(weight, 5)]))
+    patch_one_coset(target, weight, 5)
     if max_other:
         # balanced words forged into an odd coset break the census sum before any witness is sought
         with pytest.raises(ExactnessError, match=rf"sum to {12870 + max_other}, not C\(16,8\) = 12870"):
@@ -737,7 +736,7 @@ def test_equidist_reports_the_first_coset_that_differs(patch_one_coset):
     code = RMParams(2, 4)
     reps = list(coset_representatives(code, Scope.WITHIN_NEXT_ORDER))
     target = 6
-    patch_one_coset(target, lambda d: WeightDistribution.from_counts(d.n, list(d.pairs) + [(0, 1)]))
+    patch_one_coset(target, 0, 1)
     v = verify_hamming_coset_equidistribution(4)
     assert not v.passed
     assert v.witness == reps[target - 1]
@@ -757,11 +756,24 @@ def test_random_rep_has_one_distribution_from_three_sources(case):
     (k, m), bits = case
     code, rep = RMParams(k, m), TruthTable(m, bits)
     assume(not rm_membership(rep, code))
-    B = rm_weight_distribution(dual_params(code))
-    expected = assmus_mattson(coset_dual_profile(CosetSpec(code, rep)), B, code.dimension, code.n)
+    expected = coset_distribution(code, rep)
     assert coset_weight_distribution(code, rep, method=Method.TRANSFORM) == expected
     if code.dimension <= 20:
         assert coset_weight_distribution(code, rep, method=Method.BRUTE) == expected
+
+
+@pytest.mark.parametrize("k,m", SMALL_DUAL_PAIRS)
+def test_transform_distribution_equals_the_oracle_at_every_small_pair(k, m):
+    code, rng, checked = RMParams(k, m), random.Random(100 * k + m), 0
+    while checked < 3:
+        rep = TruthTable(m, rng.getrandbits(code.n))
+        if rm_membership(rep, code):
+            continue
+        expected = coset_distribution(code, rep)
+        assert coset_weight_distribution(code, rep, method=Method.TRANSFORM) == expected
+        if code.dimension <= 20:
+            assert coset_weight_distribution(code, rep, method=Method.BRUTE) == expected
+        checked += 1
 
 
 def test_coset_weight_distribution_methods_agree():
@@ -771,8 +783,11 @@ def test_coset_weight_distribution_methods_agree():
     trans = coset_weight_distribution(code, rep, method=Method.TRANSFORM)
     assert brute == trans
     assert dict(brute.pairs) == {2: 4, 4: 8, 6: 4}
-    with pytest.raises(ParameterError):
-        coset_weight_distribution(code, TruthTable.from_hex(3, "33"))
+    for method in (Method.BRUTE, Method.TRANSFORM):
+        with pytest.raises(ParameterError, match=r"^representative 33 lies in RM\(1,3\); coset is trivial$"):
+            coset_weight_distribution(code, TruthTable.from_hex(3, "33"), method)  # Y2 is in RM(1,3)
+        with pytest.raises(ParameterError, match="^rep has m=4, code has m=3$"):
+            coset_weight_distribution(code, TruthTable.from_hex(4, "0033"), method)
     with pytest.raises(ParameterError):
         coset_weight_distribution(code, rep, method=Method.SPECTRAL)
 
