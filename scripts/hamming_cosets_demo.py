@@ -19,7 +19,7 @@ import sys
 
 from rmlab.bfcore import AnfMonomialSet, tt_from_anf
 from rmlab.harness import coset_weight_distribution
-from rmlab.rmcodes import RMParams, dual_params, rm_weight_distribution
+from rmlab.rmcodes import RMParams, dual_params, rm_weight_distribution, unlimited_int_digits
 from rmlab.transforms import hamming_closed_forms, macwilliams
 
 
@@ -42,15 +42,17 @@ def main() -> int:
 
     header = f"{'m':>2} {'in_code':>24} {'per_coset':>24} {'gap':>12} transform"
     print(header)
-    for m in range(3, args.max_m + 1):
-        in_code, per_coset = hamming_closed_forms(m)
-        agrees = (in_code, per_coset) == transform_pair(m)
-        print(
-            f"{m:>2} {in_code:>24} {per_coset:>24} {in_code - per_coset:>12} "
-            f"{'agrees' if agrees else 'DISAGREES'}"
-        )
-        if not agrees:
-            return 1
+    # the counts pass int -> str's default limit of 4300 digits from m = 14
+    with unlimited_int_digits():
+        for m in range(3, args.max_m + 1):
+            in_code, per_coset = hamming_closed_forms(m)
+            agrees = (in_code, per_coset) == transform_pair(m)
+            print(
+                f"{m:>2} {in_code:>24} {per_coset:>24} {in_code - per_coset:>12} "
+                f"{'agrees' if agrees else 'DISAGREES'}"
+            )
+            if not agrees:
+                return 1
     return 0
 
 

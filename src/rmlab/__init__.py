@@ -29,7 +29,6 @@ from .harness import (
 )
 from .krawtchouk import (
     SignClass,
-    binom,
     central_K,
     central_column,
     kraw_column,
@@ -41,13 +40,11 @@ from .rmcodes import (
     DEFAULT_DIMENSION_CAP,
     RMParams,
     WeightDistribution,
-    dimension_cap,
     dual_params,
     is_doubly_even,
     mceliece_check,
     mceliece_exponent,
     monomial_basis,
-    pivot_positions,
     rm_membership,
     rm_weight_distribution,
 )

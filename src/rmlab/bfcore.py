@@ -139,10 +139,6 @@ class AnfMonomialSet:
                     raise ParameterError(f"variable index {j} out of range 1..{self.m}")
         object.__setattr__(self, "monomials", normalized)
 
-    @classmethod
-    def of(cls, m: int, monomials: Iterable[Iterable[int]]) -> "AnfMonomialSet":
-        return cls(m, list(monomials))  # __post_init__ normalizes and refuses duplicates
-
     @property
     def degree(self) -> int | None:
         """Max monomial size; None for the zero function (no monomials)."""
@@ -169,7 +165,7 @@ class AnfMonomialSet:
             if len(set(indices)) != len(indices):
                 raise ParameterError(f"repeated variable in term {term!r}")
             monomials.append(frozenset(indices))
-        return cls.of(m, monomials)
+        return cls(m, monomials)  # __post_init__ normalizes and refuses duplicates
 
 
 def tt_from_anf(anf: AnfMonomialSet) -> TruthTable:

@@ -51,13 +51,15 @@ from .errors import CapExceededError, ExactnessError, ParameterError
 from .rmcodes import (
     RMParams,
     WeightDistribution,
+    _cap_limit,
+    _high_degree_mask,
     code_counter,
     dual_params,
     monomial_basis,
-    pivot_positions,
     require_cap,
     rm_membership,
     rm_weight_distribution,
+    unlimited_int_digits,
 )
 from .spectral import _exact_float, _rm1_counts, _wht_rows
 from .transforms import hamming_closed_forms, macwilliams
@@ -103,17 +105,18 @@ class Verdict:
             raise ParameterError("failing verdict requires a witness")
 
     def to_json_obj(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": dict(self.params),
-            "mode": self.mode.value,
-            "pass": self.passed,
-            "code_count": str(self.code_count),
-            "max_other": None if self.max_other is None else str(self.max_other),
-            "witness_hex": None if self.witness is None else self.witness.to_hex(),
-            "elapsed_ms": self.elapsed_ms,
-            "method": self.method.value,
-        }
+        with unlimited_int_digits():
+            return {
+                "claim": self.claim,
+                "params": dict(self.params),
+                "mode": self.mode.value,
+                "pass": self.passed,
+                "code_count": str(self.code_count),
+                "max_other": None if self.max_other is None else str(self.max_other),
+                "witness_hex": None if self.witness is None else self.witness.to_hex(),
+                "elapsed_ms": self.elapsed_ms,
+                "method": self.method.value,
+            }
 
 
 def require_workers(workers: int) -> None:
@@ -143,11 +146,15 @@ def _verdict(claim, params, mode, method, code_count, max_other, witness, t0) ->
 def _rep_basis(code: RMParams, scope: Scope) -> list[int]:
     """Basis tables whose nonzero XOR-combinations are exactly one
     representative per nontrivial coset in scope: the unit tables of the
-    positions outside the information set (FULL_SPACE), or the
+    positions outside the information set, the set bits of
+    _high_degree_mask in ascending position order (FULL_SPACE), or the
     degree-(k+1) monomials (WITHIN_NEXT_ORDER)."""
     if scope is Scope.FULL_SPACE:
-        pivots = set(pivot_positions(code))
-        return [1 << (code.n - 1 - pos) for pos in range(code.n) if pos not in pivots]
+        mask, basis = _high_degree_mask(code.m, code.k), []
+        while mask:
+            basis.append(1 << (mask.bit_length() - 1))  # the highest bit is the lowest position
+            mask ^= basis[-1]
+        return basis
     degree = _next_degree(code)
     return [t.bits for t in monomial_basis(RMParams(degree, code.m), lowest=degree)]
 
@@ -169,10 +176,8 @@ def _build_rep(basis: list[int], rep_id: int) -> int:
 def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> list[int]:
     """The rep basis, built only once its cosets are counted against the
     coset cap: its tables have 2^m bits each, too many to build first."""
-    if override is not None and (not isinstance(override, int) or override < 0):
-        raise ParameterError(f"coset cap override must be a nonnegative int, got {override!r}")
+    limit = _cap_limit(override, DEFAULT_COSET_CAPS[scope], "coset cap")
     dim = code.n - code.dimension if scope is Scope.FULL_SPACE else comb(code.m, _next_degree(code))
-    limit = DEFAULT_COSET_CAPS[scope] if override is None else override
     if (1 << dim) > limit:
         # 2^dim, not its decimal digits: those pass int -> str's limit from m = 14
         raise CapExceededError(f"2^{dim} cosets in scope {scope.name} exceed the coset cap {limit}")

@@ -1,7 +1,8 @@
 """Exact binary Krawtchouk polynomial values and their sign structure.
 
-P_k(x; n) = sum_j (-1)^j C(x, j) C(n-x, k-j), evaluated at integer
-arguments 0 <= x <= n, always in exact integer arithmetic: a column
+P_k(x; n) = sum_j (-1)^j C(x, j) C(n-x, k-j), with C(a, b) = 0 for
+b > a as math.comb gives it, evaluated at integer arguments
+0 <= x <= n, always in exact integer arithmetic: a column
 (fixed k, every x) by the recurrence in x, a row (fixed x, every k) by
 the recurrence in k.  The central value K(i, n) = P_{n/2}(i; n) (n even),
 the column of degree n/2, drives the balanced-weight entry of every coset
@@ -18,16 +19,6 @@ from math import comb
 from .errors import ExactnessError, ParameterError
 
 
-def binom(a: int, b: int) -> int:
-    """C(a, b) with the coding-theory convention C(a, b) = 0 for b < 0 or
-    b > a; a must be a nonnegative int."""
-    if a < 0:
-        raise ParameterError(f"binom needs a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def _check_kraw_args(k: int, x: int, n: int) -> None:
     if n < 0:
         raise ParameterError(f"length n must be >= 0, got {n}")
@@ -40,9 +31,7 @@ def _check_kraw_args(k: int, x: int, n: int) -> None:
 def kraw_direct(k: int, x: int, n: int) -> int:
     """P_k(x; n) straight from the defining alternating sum."""
     _check_kraw_args(k, x, n)
-    return sum(
-        (-1) ** j * comb(x, j) * binom(n - x, k - j) for j in range(min(k, x) + 1)
-    )
+    return sum((-1) ** j * comb(x, j) * comb(n - x, k - j) for j in range(min(k, x) + 1))
 
 
 def kraw_column(k: int, n: int) -> list[int]:

@@ -4,10 +4,12 @@ membership and McEliece divisibility.
 RM(k,m) is the code of truth tables of m-variable Boolean functions of
 algebraic degree <= k: length n = 2^m, dimension K = sum_{j<=k} C(m,j),
 dual code RM(m-k-1, m).  The positions u with popcount(u) <= k are an
-information set; one mask of the other positions both tests membership
-(no ANF coefficient there) and indexes the cosets (pivot_positions).
+information set; one mask of the other positions (_high_degree_mask)
+both tests membership (no ANF coefficient there) and, through its set
+bits, indexes the cosets.
 Exhaustive enumeration is gated by a dimension cap (default 26,
-overridable per call) so nothing silently tries to walk 2^200 codewords.
+overridable per call) so nothing silently tries to walk 2^200 codewords;
+_cap_limit checks its override and the harness's coset-cap override alike.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from .errors import CapExceededError, ParameterError
 DEFAULT_DIMENSION_CAP = 26
 
 
-def dimension_cap(override: int | None = None) -> int:
-    """Effective enumeration cap: the explicit override, else the default."""
+def _cap_limit(override: int | None, default: int, what: str) -> int:
+    """The effective limit of a cap: the override, which must be a
+    nonnegative int, else the default."""
     if override is None:
-        return DEFAULT_DIMENSION_CAP
+        return default
     if not isinstance(override, int) or override < 0:
-        raise ParameterError(f"cap override must be a nonnegative int, got {override!r}")
+        raise ParameterError(f"{what} override must be a nonnegative int, got {override!r}")
     return override
 
 
@@ -156,7 +159,7 @@ def monomial_basis(p: RMParams, lowest: int = 0) -> list[TruthTable]:
 def require_cap(dim: int, cap: int | None, what: str) -> None:
     """Raise CapExceededError if enumerating a span of dimension dim
     exceeds the effective enumeration cap."""
-    limit = dimension_cap(cap)
+    limit = _cap_limit(cap, DEFAULT_DIMENSION_CAP, "cap")
     if dim > limit:
         raise CapExceededError(
             f"{what} needs dimension {dim} > enumeration cap {limit} "
@@ -222,12 +225,3 @@ def rm_membership(t: TruthTable, p: RMParams) -> bool:
     if t.m != p.m:
         raise ParameterError(f"table has m={t.m}, code has m={p.m}")
     return _mobius_bits(t.bits, t.m) & _high_degree_mask(p.m, p.k) == 0
-
-
-def pivot_positions(p: RMParams) -> tuple[int, ...]:
-    """The positions u with popcount(u) <= k, ascending (none for the zero
-    code): an information set, on which the monomial generator matrix is
-    unitriangular.  The other positions index the cosets of the code in
-    the full space."""
-    mask = format(_high_degree_mask(p.m, p.k), f"0{p.n}b")
-    return tuple(pos for pos, bit in enumerate(mask) if bit == "0")

@@ -3,17 +3,19 @@
 W_f(omega) = sum_x (-1)^(f(x) + x.omega) = 2^m - 2 wt(f + x.omega);
 f is balanced iff W_f(0) = 0, and the number of balanced words in the
 coset f + RM(1,m) is exactly twice the number of spectral zeros (each
-zero omega contributes f + x.omega and its complement).
+zero omega contributes f + x.omega and its complement).  Packed tables
+reach numpy as _bitenum._to_words rows, the one home of their bit order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ._bitenum import _popcount_rows
+from ._bitenum import _popcount_rows, _to_words
 from .bfcore import TruthTable, _check_m
 from .errors import ExactnessError, ParameterError
 
@@ -46,7 +48,6 @@ class WalshSpectrum:
 
 
 _FLOAT32_BITS = 24  # float32 holds every integer of magnitude <= 2^24
-_HADAMARD: dict[tuple[int, type], np.ndarray] = {}
 
 
 def _exact_float(log2_bound: int, what: str) -> type:
@@ -58,16 +59,14 @@ def _exact_float(log2_bound: int, what: str) -> type:
     raise ExactnessError(f"{what} may reach 2^{log2_bound}, past float64's exact integers")
 
 
+@lru_cache(maxsize=None)
 def _hadamard(a: int, dtype: type) -> np.ndarray:
     """The Sylvester matrix H_(2^a), entry (-1)^popcount(i & j), built
     once per (a, dtype)."""
-    key = (a, dtype)
-    if key not in _HADAMARD:
-        idx = np.arange(1 << a)
-        h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(dtype)
-        h.flags.writeable = False  # one array serves every caller
-        _HADAMARD[key] = h
-    return _HADAMARD[key]
+    idx = np.arange(1 << a)
+    h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(dtype)
+    h.flags.writeable = False  # one array serves every caller
+    return h
 
 
 def _wht_rows(x: np.ndarray) -> np.ndarray:
@@ -94,14 +93,14 @@ def wht(f: TruthTable) -> WalshSpectrum:
 
 
 def _spectra(tables: Sequence[int], m: int) -> np.ndarray:
-    """The _wht_rows of packed tables' +-1 rows, unpacked from their
-    big-endian bytes (a table shorter than a byte sits in the low bits),
-    typed for their sums 2^m and unnamed so the kernel can free them."""
+    """The _wht_rows of packed tables' +-1 rows, unpacked from the
+    big-endian bytes of their _to_words rows (a table shorter than a word
+    sits in the low bits), typed for their sums 2^m and unnamed so the
+    kernel can free them."""
     _check_m(m)
+    n = 1 << m
     dtype = _exact_float(m, f"the spectrum of a {m}-variable table")
-    width = max(1, (1 << m) // 8)
-    raw = np.frombuffer(b"".join(t.to_bytes(width, "big") for t in tables), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(tables), width), axis=1)[:, -(1 << m) :]
+    bits = np.unpackbits(_to_words(tables, n).astype(">u8").view(np.uint8), axis=1)[:, -n:]
     return _wht_rows(np.subtract(1, 2 * bits, dtype=dtype))
 
 

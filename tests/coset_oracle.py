@@ -6,7 +6,10 @@ the dual's B give
     d_j = 2^(K-n) sum_i (2 b_i - B_i) P_j(i;n)
 
 by dense Krawtchouk columns (the recurrence in the argument i, where the
-package's transforms use rows and the recurrence in the degree)."""
+package's transforms use rows and the recurrence in the degree).
+
+The positions that index the cosets have their own oracle here too:
+eliminated_pivots, the information set by Gaussian elimination."""
 
 from functools import lru_cache
 
@@ -30,6 +33,25 @@ def orthogonal_profile(code: RMParams, rep: TruthTable) -> tuple[WeightDistribut
     p = dual[odd.index(1)]
     sub = [g ^ p if o else g for g, o in zip(dual, odd) if g != p]
     return span_distribution(dual, code.n), span_distribution(sub, code.n)
+
+
+def eliminated_pivots(p: RMParams) -> tuple[int, ...]:
+    """Independent oracle: the pivot columns of the reduced row-echelon
+    form of the monomial generator matrix, by Gaussian elimination."""
+    rows = [t.bits for t in monomial_basis(p)]
+    n = p.n
+    pivots = []
+    for pos in range(n):
+        if not rows:
+            break
+        colbit = 1 << (n - 1 - pos)
+        hit = next((i for i, r in enumerate(rows) if r & colbit), None)
+        if hit is None:
+            continue
+        pivot = rows.pop(hit)
+        rows = [r ^ pivot if r & colbit else r for r in rows]
+        pivots.append(pos)
+    return tuple(pivots)
 
 
 @lru_cache(maxsize=None)

@@ -100,7 +100,7 @@ def test_anf_text_round_trip():
 
 
 def test_duplicate_monomials_are_refused():
-    for make in (lambda: AnfMonomialSet.of(3, [[1], [1]]),
+    for make in (lambda: AnfMonomialSet(3, [[1], [1]]),
                  lambda: AnfMonomialSet.from_str(3, "Y1+Y1"),
                  lambda: AnfMonomialSet.from_str(3, "1+1")):
         with pytest.raises(ParameterError, match="duplicate monomials"):
@@ -144,7 +144,7 @@ def test_mobius_is_an_involution(data):
 
 def linear_anf(m: int, omega: int) -> AnfMonomialSet:
     """The ANF of x -> x . omega: Y_j for each bit of omega (Y_1 the MSB)."""
-    return AnfMonomialSet.of(m, [[j] for j in range(1, m + 1) if (omega >> (m - j)) & 1])
+    return AnfMonomialSet(m, [[j] for j in range(1, m + 1) if (omega >> (m - j)) & 1])
 
 
 def test_linear_tt():

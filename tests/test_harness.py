@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import zlib
 from collections import Counter
 from math import comb
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coset_oracle import coset_distribution
+from coset_oracle import coset_distribution, eliminated_pivots
 from rmlab import harness, rmcodes, spectral, transforms
 from rmlab._bitenum import SpanCounter, iter_span
 from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
@@ -36,8 +37,8 @@ from rmlab.rmcodes import (
     WeightDistribution,
     dual_params,
     monomial_basis,
-    pivot_positions,
     rm_membership,
+    unlimited_int_digits,
 )
 
 
@@ -83,14 +84,13 @@ def test_within_scope_reps_tile_the_next_order():
 
 
 def test_rep_basis_equals_the_pivot_and_combination_construction():
-    # oracle: unit tables off the pivots (pivot_positions is pinned to
-    # Gaussian elimination in test_rmcodes), and the degree-(k+1)
-    # monomials in combination order
-    for m in range(1, 8):
-        for k in range(m + 1):
+    # oracle: unit tables off the pivots of Gaussian elimination, and the
+    # degree-(k+1) monomials in combination order
+    for m in range(1, 9):
+        for k in range(-1, m + 1):
             code = RMParams(k, m)
             n = code.n
-            pivots = set(pivot_positions(code))
+            pivots = set(eliminated_pivots(code))
             full = [1 << (n - 1 - pos) for pos in range(n) if pos not in pivots]
             assert harness._rep_basis(code, Scope.FULL_SPACE) == full, (k, m)
             if k == m:
@@ -131,11 +131,11 @@ def test_census_refuses_before_building_more_than_its_rep_basis(monkeypatch, k, 
         assert len(built) <= builds, f"built more than {builds} tables"
         return real(m, combo)
 
-    def no_full_basis(code):
+    def no_full_basis(m, k):
         raise AssertionError("built the full-space rep basis")
 
     monkeypatch.setattr(rmcodes, "monomial_tt", counted)
-    monkeypatch.setattr(harness, "pivot_positions", no_full_basis)
+    monkeypatch.setattr(harness, "_high_degree_mask", no_full_basis)
     with pytest.raises(CapExceededError):
         census_balanced(RMParams(k, m), scope)
     assert len(built) == builds
@@ -637,9 +637,10 @@ def test_rm1_checks_parseval_on_every_spectrum(monkeypatch, m, exhaustive):
     # Parseval's sum runs in float32 up to m = 11 and in float64 from 12;
     # from m = 7 the transform's first factor is H_64
     a = min(m, 6)
-    bad = spectral._hadamard(a, np.float32).copy()
+    real = spectral._hadamard
+    bad = real(a, np.float32).copy()
     bad[3, 5] = -bad[3, 5]
-    monkeypatch.setitem(spectral._HADAMARD, (a, np.float32), bad)
+    monkeypatch.setattr(spectral, "_hadamard", lambda b, dtype: bad if (b, dtype) == (a, np.float32) else real(b, dtype))
     with pytest.raises(ExactnessError, match="Parseval"):
         verify_rm1_proposition(m, exhaustive=exhaustive, samples=100)
 
@@ -806,6 +807,22 @@ def test_verdict_shape():
     assert obj["witness_hex"] is None
     assert isinstance(obj["elapsed_ms"], int)
     json.dumps(obj)  # round-trips as JSON
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit")
+def test_verdict_json_past_the_int_digit_limit():
+    # code_count is C(16384, 8192), 4,930 digits, past the default limit
+    # of 4300; the caller's limit holds again afterwards
+    v = verify_theorem_basic(13, 14, method=Method.TRANSFORM)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = json.dumps(v.to_json_obj())
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with unlimited_int_digits():
+        assert json.loads(text)["code_count"] == str(comb(16384, 8192))
 
 
 def test_failing_verdict_requires_witness():

@@ -8,7 +8,6 @@ from rmlab import krawtchouk
 from rmlab.errors import ParameterError
 from rmlab.krawtchouk import (
     SignClass,
-    binom,
     central_K,
     central_column,
     kraw_column,
@@ -18,18 +17,11 @@ from rmlab.krawtchouk import (
 )
 
 
-def test_binom_convention():
-    assert binom(4, 2) == 6
-    assert binom(4, -1) == 0
-    assert binom(4, 5) == 0
-    with pytest.raises(ParameterError):
-        binom(-1, 0)
-
-
 def test_direct_values():
     assert kraw_direct(2, 0, 4) == 6  # = C(4,2)
     assert kraw_direct(2, 2, 4) == -2  # 1 - 4 + 1
     assert kraw_direct(1, 4, 4) == -4  # 0 - 4
+    assert kraw_direct(3, 2, 4) == 0  # 0 - 2 + 2: the j = 0 term's C(2, 3) is 0
     with pytest.raises(ParameterError):
         kraw_direct(5, 0, 4)
     with pytest.raises(ParameterError):

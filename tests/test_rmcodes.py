@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_oracle import eliminated_pivots
 from rmlab._bitenum import iter_span
 from rmlab.bfcore import TruthTable, tt_from_anf, AnfMonomialSet, anf_from_tt
 from rmlab.errors import CapExceededError, ParameterError
@@ -16,14 +17,14 @@ from rmlab.rmcodes import (
     DEFAULT_DIMENSION_CAP,
     RMParams,
     WeightDistribution,
+    _high_degree_mask,
     code_counter,
-    dimension_cap,
     dual_params,
     is_doubly_even,
     mceliece_check,
     mceliece_exponent,
     monomial_basis,
-    pivot_positions,
+    require_cap,
     rm_membership,
     unlimited_int_digits,
     rm_weight_distribution,
@@ -178,7 +179,7 @@ def test_is_doubly_even():
 
 def test_membership():
     for idx in range(1 << 3):
-        linear = AnfMonomialSet.of(3, [[j] for j in range(1, 4) if (idx >> (3 - j)) & 1])
+        linear = AnfMonomialSet(3, [[j] for j in range(1, 4) if (idx >> (3 - j)) & 1])
         assert rm_membership(tt_from_anf(linear), RMParams(1, 3))
     y1y2 = tt_from_anf(AnfMonomialSet.from_str(2, "Y1Y2"))
     assert not rm_membership(y1y2, RMParams(1, 2))
@@ -236,8 +237,14 @@ def test_code_counter_against_explicit_parities(k, m):
 
 
 def test_enumeration_cap():
-    assert dimension_cap() == DEFAULT_DIMENSION_CAP
-    assert dimension_cap(30) == 30
+    require_cap(DEFAULT_DIMENSION_CAP, None, "a span at the default cap")
+    with pytest.raises(CapExceededError):
+        require_cap(DEFAULT_DIMENSION_CAP + 1, None, "a span past the default cap")
+    require_cap(30, 30, "a span at an override")
+    with pytest.raises(CapExceededError):
+        require_cap(31, 30, "a span past an override")
+    with pytest.raises(ParameterError, match="^cap override must be a nonnegative int"):
+        require_cap(0, -1, "a span under a negative override")
     with pytest.raises(CapExceededError) as exc:
         rm_weight_distribution(RMParams(3, 6), cap=20)
     assert "42" in str(exc.value) and "20" in str(exc.value)
@@ -274,37 +281,19 @@ def test_weight_distribution_json():
         assert WeightDistribution.from_dense(int(c) for c in counts) == big
 
 
-def eliminated_pivots(p: RMParams) -> tuple[int, ...]:
-    """Independent oracle: the pivot columns of the reduced row-echelon
-    form of the monomial generator matrix, by Gaussian elimination."""
-    rows = [t.bits for t in monomial_basis(p)]
-    n = p.n
-    pivots = []
-    for pos in range(n):
-        if not rows:
-            break
-        colbit = 1 << (n - 1 - pos)
-        hit = next((i for i, r in enumerate(rows) if r & colbit), None)
-        if hit is None:
-            continue
-        pivot = rows.pop(hit)
-        rows = [r ^ pivot if r & colbit else r for r in rows]
-        pivots.append(pos)
-    return tuple(pivots)
-
-
 def test_pivot_positions():
-    p = RMParams(1, 3)
-    pivots = pivot_positions(p)
-    assert len(pivots) == p.dimension
-    assert len(set(pivots)) == len(pivots)
-    # pivots of the full-space code are all coordinates
-    assert pivot_positions(RMParams(3, 3)) == tuple(range(8))
-    # the popcount <= k information set is the elimination's pivot set
+    # the positions _high_degree_mask leaves clear, popcount <= k, are the
+    # elimination's pivot set (test_harness pins the rep basis on the rest)
     for m in range(1, 9):
-        for k in range(m + 1):
-            assert pivot_positions(RMParams(k, m)) == eliminated_pivots(RMParams(k, m)), (k, m)
-    assert pivot_positions(RMParams(-1, 3)) == eliminated_pivots(RMParams(-1, 3)) == ()
+        for k in range(-1, m + 1):
+            p = RMParams(k, m)
+            mask = format(_high_degree_mask(m, k), f"0{p.n}b")
+            clear = tuple(pos for pos, bit in enumerate(mask) if bit == "0")
+            assert clear == eliminated_pivots(p), (k, m)
+            assert len(clear) == p.dimension
+    # pivots of the full-space code are all coordinates, of the zero code none
+    assert eliminated_pivots(RMParams(3, 3)) == tuple(range(8))
+    assert eliminated_pivots(RMParams(-1, 3)) == ()
 
 
 def test_membership_is_degree_at_most_k():

@@ -16,7 +16,7 @@ from rmlab.spectral import WalshSpectrum, wht, wht_many
 def linear_tt(m: int, omega: int) -> TruthTable:
     """The table of x -> x . omega, from its ANF: Y_j for each bit of
     omega (Y_1 the most significant)."""
-    return tt_from_anf(AnfMonomialSet.of(m, [[j] for j in range(1, m + 1) if (omega >> (m - j)) & 1]))
+    return tt_from_anf(AnfMonomialSet(m, [[j] for j in range(1, m + 1) if (omega >> (m - j)) & 1]))
 
 
 def parseval_holds(s: WalshSpectrum) -> bool:
@@ -194,9 +194,10 @@ def test_rm1_count_examples():
 
 
 def test_rm1_count_checks_parseval(monkeypatch):
-    bad = spectral._hadamard(4, np.float32).copy()
+    real = spectral._hadamard
+    bad = real(4, np.float32).copy()
     bad[3, 5] = -bad[3, 5]
-    monkeypatch.setitem(spectral._HADAMARD, (4, np.float32), bad)
+    monkeypatch.setattr(spectral, "_hadamard", lambda a, dtype: bad if (a, dtype) == (4, np.float32) else real(a, dtype))
     with pytest.raises(ExactnessError, match="Parseval"):
         rm1_count(tt_from_anf(AnfMonomialSet.from_str(4, "Y1Y2Y3")))
 
@@ -291,13 +292,19 @@ def test_batch_equals_int64_butterfly_every_m():
 
 def test_float64_branch_equals_butterfly(monkeypatch):
     monkeypatch.setattr(spectral, "_FLOAT32_BITS", 3)
-    monkeypatch.setattr(spectral, "_HADAMARD", {})
+    real, dtypes = spectral._hadamard, set()
+
+    def recorded(a, dtype):
+        dtypes.add(dtype)
+        return real(a, dtype)
+
+    monkeypatch.setattr(spectral, "_hadamard", recorded)
     rng = random.Random(64)
     for m in range(4, 13):
         n = 1 << m
         tables = [rng.getrandbits(n) for _ in range(max(1, (1 << 16) // n))]
         assert np.array_equal(wht_many(tables, m), fwht_butterfly(sign_rows(tables, m))), m
-    assert {dtype for _, dtype in spectral._HADAMARD} == {np.float64}
+    assert dtypes == {np.float64}
 
 
 def test_exact_float_edges():
