@@ -22,7 +22,9 @@ weight among the odd-weight cosets, equidist a second distribution.
 Brute censuses walk the code's span once per chunk of rep ids, counting
 every rep of the chunk in batched numpy passes; chunks shard
 deterministically across worker processes and can resume from an
-append-only, checksummed checkpoint log.  Exhaustive rm1's census is
+append-only, checksummed checkpoint log.  Sampled rm1 draws its tables
+in the calling thread and counts batches of them on one thread per
+usable core, reading the counts in draw order.  Exhaustive rm1's census is
 spectral; theorem5's transform method, oddweight, equidist and the
 transform coset distribution read every coset's distribution from one
 walk of the dual code (see _dual_table).
@@ -61,7 +63,7 @@ from .rmcodes import (
     rm_weight_distribution,
     unlimited_int_digits,
 )
-from .spectral import _exact_float, _rm1_counts, _wht_rows
+from .spectral import _exact_float, _rm1_counts, _scratch, _wht_rows
 from .transforms import hamming_closed_forms, macwilliams
 
 
@@ -419,7 +421,9 @@ def _dual_table(
     require_cap(r + code.m, cap, f"dual walk of {code} (2^{r} syndromes x {n + 1} weights)")
     hist = code_counter(dual, basis).weight_histogram().reshape(1 << r, n + 1)
     weights = np.flatnonzero(hist.any(axis=0)).tolist()
-    spectra = _wht_rows(np.ascontiguousarray(hist[:, weights].T, dtype=dtype)).astype(np.int64)
+    pair = np.empty((2, len(weights), 1 << r), dtype)
+    pair[0] = hist[:, weights].T
+    spectra = _wht_rows(pair).astype(np.int64)
     signed = spectra.sum(axis=0)
     signed[0] -= 1 << dual.dimension
     if signed.any():
@@ -506,6 +510,15 @@ def verify_quotient_conjecture(
     return _strict_max("conjecture", {"k": k, "m": m}, Mode.EMPIRICAL, Method.BRUTE, census, t0)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def verify_rm1_proposition(
     m: int,
     exhaustive: bool | None = None,
@@ -516,7 +529,9 @@ def verify_rm1_proposition(
     """Every nontrivial coset of RM(1,m) has fewer than 2^(m+1)-2
     balanced words.  Exhaustive (m <= 4): the strict-maximum census of
     spectral counts, checked against the brute one at m <= 3.  Sampled
-    (m <= 16): seeded random non-affine representatives."""
+    (m <= 16): seeded random non-affine representatives, in batches
+    counted on one thread per usable core; the verdict is the same at
+    every core count."""
     t0 = time.monotonic()
     if exhaustive is None:
         exhaustive = m <= 4
@@ -543,22 +558,40 @@ def verify_rm1_proposition(
         raise ParameterError(f"sampled proposition check supports 2 <= m <= 16, got {m}")
     if samples < 1:
         raise ParameterError(f"sample count must be positive, got {samples}")
+    from concurrent.futures import ThreadPoolExecutor
+
     n = 1 << m
     rng = random.Random(seed)
-    chunk_rows = max(1, (1 << 20) // n)
+    chunk_rows = min(samples, max(1, (1 << 18) // n))  # 2^18 entries: a 2 MB float32 pair
+    width = min(_usable_cores(), -(-samples // chunk_rows))  # no idle thread or buffer
+    # one _scratch per batch in flight, handed on once its counts are read:
+    # fresh buffers cost a page fault per 4 KB, about a third of the time
+    free = [_scratch(chunk_rows, m) for _ in range(width)]
     max_other = kept = 0
     witness = None
-    while kept < samples:
-        # the draws of a rejection loop, in order: only the affine tables
-        # (the ones with |W| = 2^m somewhere) are dropped and drawn again
-        batch = [rng.getrandbits(n) for _ in range(min(chunk_rows, samples - kept))]
-        zero_counts, affine = _rm1_counts(batch, m)
-        kept += len(batch) - int(np.count_nonzero(affine))
-        zero_counts[affine] = 0
-        max_other = max(max_other, int(zero_counts.max()))
-        bad = np.flatnonzero(zero_counts >= bound)
-        if witness is None and len(bad):
-            witness = TruthTable(m, batch[bad[0]])
+    pending = []  # (batch, scratch, future) in draw order
+    with ThreadPoolExecutor(width) as pool:
+        while kept < samples:
+            # the draws of a rejection loop, in order: only the affine tables
+            # (the ones with |W| = 2^m somewhere) are dropped and drawn again.
+            # No more is drawn than the batches in flight leave needed, so the
+            # loop checks the shortest prefix of the stream that holds
+            # `samples` non-affine tables, whatever the width.
+            need = samples - kept - sum(len(batch) for batch, _, _ in pending)
+            while free and need > 0:
+                batch = [rng.getrandbits(n) for _ in range(min(chunk_rows, need))]
+                need -= len(batch)
+                scratch = free.pop()
+                pending.append((batch, scratch, pool.submit(_rm1_counts, batch, m, scratch)))
+            batch, scratch, future = pending.pop(0)
+            zero_counts, affine = future.result()
+            free.append(scratch)
+            kept += len(batch) - int(np.count_nonzero(affine))
+            zero_counts[affine] = 0
+            max_other = max(max_other, int(zero_counts.max()))
+            bad = np.flatnonzero(zero_counts >= bound)
+            if witness is None and len(bad):
+                witness = TruthTable(m, batch[bad[0]])
     return _verdict("rm1", {"m": m, "samples": samples, "seed": seed}, Mode.SAMPLED, Method.SPECTRAL,
                     bound, max_other, witness, t0)
 

@@ -5,6 +5,16 @@ f is balanced iff W_f(0) = 0, and the number of balanced words in the
 coset f + RM(1,m) is exactly twice the number of spectral zeros (each
 zero omega contributes f + x.omega and its complement).  Packed tables
 reach numpy as _bitenum._to_words rows, the one home of their bit order.
+
+Every spectrum comes from one kernel, _wht_rows, whose matrix products
+are cut into GEMMs of M*N*K <= 2^17, below OpenBLAS's threading size of
+2^18, so each runs on the calling thread.  On two cores, OpenBLAS's own
+threads made the products erratic (a 16384-row product by H_64 took a
+median 0.9 ms but 8 ms at its 90th percentile, against a steady 1.4 ms
+as 32-row stacks on one thread), and GEMMs of exactly 64 x 64 x 64 from
+two threads ran one at a time.  With every product on its caller's
+thread, sampled rm1 counts one batch per usable core; the sums are exact
+however the work is split.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ class WalshSpectrum:
 
 
 _FLOAT32_BITS = 24  # float32 holds every integer of magnitude <= 2^24
+_BLOCK = 32  # rows or columns per GEMM of the kernel (see the module docstring)
 
 
 def _exact_float(log2_bound: int, what: str) -> type:
@@ -69,13 +80,20 @@ def _hadamard(a: int, dtype: type) -> np.ndarray:
     return h
 
 
-def _wht_rows(x: np.ndarray) -> np.ndarray:
+def _wht_rows(pair: np.ndarray) -> np.ndarray:
     """Rows of the Hadamard transform along the last axis (length 2^m) of
-    a float array.  H_(2^m) is the Kronecker product of factors H_(2^a),
-    a <= 6 and as equal as possible, each one matrix product on its digit
-    of the index (most significant first).  Every partial sum is a signed
-    sum of distinct entries of one row: exact in the type _exact_float
-    picks for the largest absolute row sum."""
+    pair[0], a C-contiguous float array like pair[1]; the kernel writes
+    into both and returns the result as a view of one of them.
+    H_(2^m) is the Kronecker product of factors H_(2^a), a <= 6 and as
+    equal as possible, each one matrix product on its digit of the index
+    (most significant first), from one buffer into the other.  Each
+    product is issued as a stack of GEMMs of M*N*K <= _BLOCK * 4^6 = 2^17
+    (the block rule of the module docstring): the lowest digit multiplies
+    stacks of _BLOCK rows by H, a higher one multiplies H by _BLOCK-column
+    strips of its (2^a, low) slices.  Every partial sum is a signed sum of
+    distinct entries of one row: exact in the type _exact_float picks for
+    the largest absolute row sum."""
+    x, y = pair
     m = x.shape[-1].bit_length() - 1
     factors = -(-m // 6)
     low = 1 << m  # the length of the digits below the current one
@@ -83,8 +101,21 @@ def _wht_rows(x: np.ndarray) -> np.ndarray:
         a = m // factors + (i < m % factors)
         low >>= a
         h = _hadamard(a, x.dtype.type)
-        x = x.reshape(-1, 1 << a) @ h if low == 1 else h @ x.reshape(-1, 1 << a, low)
-    return x.reshape(-1, 1 << m)
+        if low == 1:
+            xs, ys = x.reshape(-1, 1 << a), y.reshape(-1, 1 << a)
+            cut = len(xs) - len(xs) % _BLOCK
+            np.matmul(xs[:cut].reshape(-1, _BLOCK, 1 << a), h, out=ys[:cut].reshape(-1, _BLOCK, 1 << a))
+            np.matmul(xs[cut:], h, out=ys[cut:])
+        else:
+            strip = min(low, _BLOCK)
+            np.matmul(h, _strips(x, a, low, strip), out=_strips(y, a, low, strip))
+        x, y = y, x
+    return x
+
+
+def _strips(x: np.ndarray, a: int, low: int, strip: int) -> np.ndarray:
+    """The (2^a, strip) column strips of x's (2^a, low) slices, as a view."""
+    return x.reshape(-1, 1 << a, low // strip, strip).transpose(0, 2, 1, 3)
 
 
 def wht(f: TruthTable) -> WalshSpectrum:
@@ -92,16 +123,22 @@ def wht(f: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(f.m, tuple(wht_many([f.bits], f.m)[0].tolist()))
 
 
-def _spectra(tables: Sequence[int], m: int) -> np.ndarray:
+def _scratch(rows: int, m: int) -> np.ndarray:
+    """The _wht_rows pair for up to `rows` tables, typed for their sums 2^m."""
+    _check_m(m)
+    return np.empty((2, rows, 1 << m), _exact_float(m, f"the spectrum of a {m}-variable table"))
+
+
+def _spectra(tables: Sequence[int], m: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """The _wht_rows of packed tables' +-1 rows, unpacked from the
     big-endian bytes of their _to_words rows (a table shorter than a word
-    sits in the low bits), typed for their sums 2^m and unnamed so the
-    kernel can free them."""
-    _check_m(m)
+    sits in the low bits), in a _scratch the caller may pass to reuse it
+    (each page of a fresh one costs a page fault), else in a new one."""
     n = 1 << m
-    dtype = _exact_float(m, f"the spectrum of a {m}-variable table")
+    pair = (_scratch(len(tables), m) if scratch is None else scratch)[:, : len(tables)]
     bits = np.unpackbits(_to_words(tables, n).astype(">u8").view(np.uint8), axis=1)[:, -n:]
-    return _wht_rows(np.subtract(1, 2 * bits, dtype=dtype))
+    np.subtract(1, 2 * bits, out=pair[0], dtype=pair.dtype)
+    return _wht_rows(pair)
 
 
 def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
@@ -112,7 +149,9 @@ def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
     return _spectra(tables, m).astype(np.int32)
 
 
-def _rm1_counts(tables: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+def _rm1_counts(
+    tables: Sequence[int], m: int, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Balanced words in each table's coset of RM(1,m), twice its spectral
     zeros (wt(f + x.omega) = (n - W_f(omega))/2, and complementing flips
     the sign of W), and which tables are affine (|W| = 2^m at some omega),
@@ -120,10 +159,10 @@ def _rm1_counts(tables: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     |W| <= 2^m and Parseval's sum of W^2 = 2^(2m), summed in a type exact
     to 2^(2m+1), so m <= 26: rounding of non-negative terms starts only
     past that limit and never comes back below it, so a wrong sum either
-    stays exact or ends above 2^(2m)."""
+    stays exact or ends above 2^(2m).  scratch is passed on to _spectra."""
     n = 1 << m
     squares = _exact_float(2 * m + 1, f"Parseval's sum at m={m}")
-    spectra = _spectra(tables, m)
+    spectra = _spectra(tables, m, scratch)
     hi, lo = spectra.max(axis=1), spectra.min(axis=1)
     if (np.any(hi > n) or np.any(lo < -n)
             or np.any(np.einsum("ij,ij->i", spectra, spectra, dtype=squares) != n * n)):

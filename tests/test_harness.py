@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import random
 import re
 import sys
+import tracemalloc
 import zlib
 from collections import Counter
 from math import comb
@@ -647,12 +649,12 @@ def test_rm1_checks_parseval_on_every_spectrum(monkeypatch, m, exhaustive):
 
 def test_sampled_rm1_names_the_first_table_at_the_bound(monkeypatch):
     # the claim holds, so the counts are forced: rows 3 and 5 of each batch
-    # (1024 tables at m = 10) reach 2^(m+1)-2, and the verdict names the
+    # (256 tables at m = 10) reach 2^(m+1)-2, and the verdict names the
     # first of them drawn
     real = harness._rm1_counts
 
-    def forced(tables, m):
-        counts, affine = real(tables, m)
+    def forced(tables, m, scratch):
+        counts, affine = real(tables, m, scratch)
         counts[[3, 5]] = (1 << (m + 1)) - 2
         return counts, affine
 
@@ -662,6 +664,52 @@ def test_sampled_rm1_names_the_first_table_at_the_bound(monkeypatch):
     draws = [rng.getrandbits(1024) for _ in range(2100)]
     assert not v.passed and v.max_other == 2046
     assert v.witness == TruthTable(10, draws[3])
+
+
+@pytest.mark.parametrize("m, samples", [(2, 200_000), (3, 100_000), (10, 2100), (16, 40)])
+def test_sampled_verdict_is_the_same_at_every_pool_width(monkeypatch, m, samples):
+    # a 2^18-entry batch is 2^16 tables at m = 2 and 4 at m = 16, so every
+    # case has more batches than threads; at m = 2 half the draws are
+    # affine, so the loop refills its window many times.  From m = 10 the
+    # sample count stops one short of a new maximum, so one table drawn
+    # past the prefix would change max_other.  3 threads are more than
+    # most test machines have cores, and a short switch interval
+    # interleaves them at many more points.
+    want = None
+    if m >= 10:
+        rng, counts = random.Random(3), []
+        while len(counts) < samples:
+            count, affine = spectral._rm1_counts([rng.getrandbits(1 << m)], m)
+            if not affine[0]:
+                counts.append(int(count[0]))
+        samples = max(i for i in range(1, samples) if counts[i] > max(counts[:i]))
+        want = max(counts[:samples])
+    verdicts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cores", lambda: width)
+            v = verify_rm1_proposition(m, exhaustive=False, samples=samples, seed=3)
+            verdicts.append(dataclasses.replace(v, elapsed_ms=0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert want in (None, verdicts[0].max_other)
+
+
+def test_sampled_rm1_keeps_only_a_window_of_tables(monkeypatch):
+    # 5000 tables of 8 KB at m = 16 are 40 MB drawn up front; two batches
+    # in flight hold 8 tables and two 2 MB float pairs
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        v = verify_rm1_proposition(16, exhaustive=False, samples=5000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.passed
+    assert peak < 10 << 20, peak
 
 
 def test_verify_rm1_sampled():

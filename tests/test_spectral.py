@@ -235,7 +235,7 @@ def test_parseval_sum_sees_one_unit_past_2_2m(monkeypatch, m):
     # the sum runs in float32 only while 2^(2m+1) fits its exact integers
     row = np.zeros((1, 1 << m), dtype=np.float32)
     row[0, :2] = 1 << m, 1
-    monkeypatch.setattr(spectral, "_spectra", lambda tables, m: row)
+    monkeypatch.setattr(spectral, "_spectra", lambda tables, m, scratch: row)
     with pytest.raises(ExactnessError, match="Parseval"):
         spectral._rm1_counts([0], m)
 
@@ -290,6 +290,25 @@ def test_batch_equals_int64_butterfly_every_m():
         assert np.array_equal(fast, fwht_butterfly(sign_rows(tables, m))), m
 
 
+@pytest.mark.parametrize("dtype, float32_bits", [(np.float32, 24), (np.float64, 0)])
+def test_kernel_equals_butterfly_at_every_block_remainder(monkeypatch, dtype, float32_bits):
+    # 1, 63, 65 and 257 rows leave every remainder of the lowest digit's
+    # row stacks, m = 1..18 gives every strip width of the higher digits,
+    # and 2 or 5 rows of up to 2^18 entries are the dual table's few wide
+    # rows; float32_bits = 0 makes wht_many run in float64 too
+    monkeypatch.setattr(spectral, "_FLOAT32_BITS", float32_bits)
+    rng = random.Random(24)
+    for m in range(1, 19):
+        for rows in (1, 2, 5, 63, 65, 257):
+            if rows << m > 1 << 21:
+                continue
+            tables = [rng.getrandbits(1 << m) for _ in range(rows)]
+            want = fwht_butterfly(sign_rows(tables, m))
+            pair = np.stack([sign_rows(tables, m)] * 2).astype(dtype)
+            assert np.array_equal(spectral._wht_rows(pair), want), (m, rows)
+            assert np.array_equal(wht_many(tables, m), want), (m, rows)
+
+
 def test_float64_branch_equals_butterfly(monkeypatch):
     monkeypatch.setattr(spectral, "_FLOAT32_BITS", 3)
     real, dtypes = spectral._hadamard, set()
@@ -327,7 +346,7 @@ def test_kernel_equals_butterfly_on_histograms():
         for hist, want in ((small, np.float32), (big, np.float64)):
             dtype = spectral._exact_float(int(hist.sum(axis=1).max()).bit_length(), "test")
             assert dtype is want, r
-            fast = spectral._wht_rows(hist.astype(dtype)).astype(np.int64)
+            fast = spectral._wht_rows(np.stack([hist, hist]).astype(dtype)).astype(np.int64)
             assert np.array_equal(fast, fwht_butterfly(hist.copy())), (r, want)
 
 
