@@ -1,13 +1,13 @@
 """numpy-backed bit-parallel enumeration of XOR spans of truth tables.
 
 Truth tables live in Python ints (see bfcore); for bulk work over a whole
-linear span or coset we repack columns of tables into uint64 matrices and
-let numpy popcount them.  The span of r basis tables is materialized by
-doubling: rows [2^j, 2^{j+1}) are rows [0, 2^j) XOR basis j, so row g is
-the combination with characteristic vector g in plain binary counting
-order.  For spans too large for memory the low part is materialized once
-and the high basis vectors are folded in by Gray-code stepping, one XOR
-of the whole block per step.
+linear span or coset we repack them into matrices of words as wide as a
+table (_word_type) and let numpy popcount them.  The span of r basis
+tables is materialized by doubling: rows [2^j, 2^{j+1}) are rows [0, 2^j)
+XOR basis j, so row g is the combination with characteristic vector g in
+plain binary counting order.  For spans too large for memory the low part
+is materialized once and the high basis vectors are folded in by
+Gray-code stepping, one XOR of the whole block per step.
 
 A span is queried for its weight histogram against one offset, or for
 the words of one weight against a batch of offsets: a census reads one
@@ -31,39 +31,45 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bfcore import hex_layout
-from .errors import ParameterError
+from .errors import ExactnessError, ParameterError
 
-# table words materialized at once: 2^20 one-word rows is 8 MB
+# table words materialized at once: 2^20 one-word rows is 1-8 MB by width
 _BLOCK_LOG2 = 20
-# uint64 words one pass of a batched query XORs against the block: 2 MB
-# passes keep a census below the peak memory of a 2^20-word block walk
+# table words one pass of a batched query XORs against the block (0.25-2
+# MB by width) keep a census below the peak memory of a 2^20-word walk
 _PASS_WORDS = 1 << 18
 
 
+def _word_type(n: int) -> np.dtype:
+    """uint8, uint16 or uint32 for tables of up to 8, 16 or 32 bits, else uint64."""
+    return np.dtype(f"u{max(1, min(n, 64) // 8)}")
+
+
 def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
-    """Stack packed tables into a (len, n/64 or 1) matrix of big-endian
-    uint64 words.  A table shorter than 64 bits is one word, in its low bits."""
+    """Stack packed tables into a (len, n/64 or 1) matrix of _word_type(n)
+    words, high word first; a table below 8 bits sits in a word's low bits."""
     if n > 64 and n % 64:
         raise ParameterError(f"table length {n} is not a whole number of words")
-    nwords = max(1, n // 64)
-    buf = b"".join(t.to_bytes(8 * nwords, "big") for t in tables)
-    return np.frombuffer(buf, dtype=">u8").astype(np.uint64).reshape(len(tables), nwords)
+    dt, nwords = _word_type(n), max(1, n // 64)
+    size = dt.itemsize * nwords  # a dtype attribute costs more than a local
+    buf = b"".join(t.to_bytes(size, "big") for t in tables)
+    return np.frombuffer(buf, dtype=dt.newbyteorder(">")).astype(dt).reshape(len(tables), nwords)
 
 
 def hex_rows(words: np.ndarray, n: int) -> np.ndarray:
     """TruthTable.to_hex of the table in each row of a _to_words matrix,
     as a (rows, hex digits) uint8 array of ASCII digits."""
     digits, pad = hex_layout(n)
-    text = (words << np.uint64(pad)).astype(">u8").tobytes().hex().encode()
+    text = (words << pad).astype(words.dtype.newbyteorder(">")).tobytes().hex().encode()
     return np.frombuffer(text, dtype=np.uint8).reshape(len(words), -1)[:, -digits:]
 
 
 def span_rows(basis: Sequence[int], n: int, ids: np.ndarray) -> np.ndarray:
     """The span words that ids select, one _to_words row each: bit t of an
     id selects basis table t."""
-    out = np.zeros((len(ids), max(1, n // 64)), dtype=np.uint64)
+    out = np.zeros((len(ids), max(1, n // 64)), dtype=_word_type(n))
     for t, row in enumerate(_to_words(list(basis), n)):
-        out[(ids >> t) & 1 == 1] ^= row
+        out ^= ((ids >> t) & 1).astype(out.dtype)[:, None] * row
     return out
 
 
@@ -78,8 +84,7 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
 
 def _span_block(basis_words: np.ndarray, log2_rows: int) -> np.ndarray:
     """Rows 0..2^log2_rows-1 of the span of the first log2_rows basis rows."""
-    nwords = basis_words.shape[1]
-    out = np.zeros((1 << log2_rows, nwords), dtype=np.uint64)
+    out = np.zeros((1 << log2_rows, basis_words.shape[1]), dtype=basis_words.dtype)
     for j in range(log2_rows):
         half = 1 << j
         out[half : 2 * half] = out[:half] ^ basis_words[j]
@@ -96,7 +101,7 @@ class SpanCounter:
     """The span of any number of basis tables, for repeated weight
     queries against varying coset offsets.  Each basis table may carry a
     key of key_bits bits; a span word's key is the XOR of the keys of
-    the tables it combines, kept as one extra uint64 column.
+    the tables it combines, kept as one extra column of table words.
 
     A basis table equal to the all-ones word is taken out of the basis
     (its key kept): the walk covers the span of the other tables, and each
@@ -110,6 +115,8 @@ class SpanCounter:
     """
 
     def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
+        if key_bits > 8 * _word_type(n).itemsize:
+            raise ExactnessError(f"{key_bits}-bit keys do not fit the key column of {n}-bit tables")
         self.n = n
         self._key_bits = key_bits
         basis, keys = list(basis), list(keys)
@@ -122,7 +129,7 @@ class SpanCounter:
         words = _to_words(basis, n)
         self._nwords = words.shape[1]
         if key_bits:
-            words = np.column_stack((words, np.array(keys, dtype=np.uint64)))
+            words = np.column_stack((words, np.array(keys, dtype=words.dtype)))
         lo = min(len(basis), max(0, _BLOCK_LOG2 - (self._nwords - 1).bit_length()))
         self._block = _span_block(words, lo)
         self._high = words[lo:]
@@ -165,7 +172,7 @@ class SpanCounter:
         """Sum of tally(block) over the block's Gray-fold steps through
         {offset XOR span(basis)}; the block is restored before returning."""
         block = self._block
-        applied = np.zeros(block.shape[1], dtype=np.uint64)
+        applied = np.zeros(block.shape[1], dtype=block.dtype)
         applied[: self._nwords] = offset
         if applied.any():
             block ^= applied
@@ -225,16 +232,3 @@ class SpanCounter:
         # popcount of the matches packed eight to a byte
         matches = np.packbits(self._hits(words, weight), axis=-1)
         return _popcount_rows(matches).astype(np.int64)
-
-
-def iter_span(basis: Sequence[int], offset: int = 0) -> Iterator[int]:
-    """Yield every element of {offset XOR span(basis)} as a packed int,
-    in Gray order (consecutive elements differ by one basis vector), one
-    Python int at a time.  Nothing in the package walks a span this way:
-    it is the reference walker that the SpanCounter tests compare the
-    block walk against."""
-    cur = offset
-    yield cur
-    for j in _gray_flip_sequence(len(basis)):
-        cur ^= basis[j]
-        yield cur

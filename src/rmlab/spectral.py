@@ -130,13 +130,14 @@ def _scratch(rows: int, m: int) -> np.ndarray:
 
 
 def _spectra(tables: Sequence[int], m: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The _wht_rows of packed tables' +-1 rows, unpacked from the
-    big-endian bytes of their _to_words rows (a table shorter than a word
-    sits in the low bits), in a _scratch the caller may pass to reuse it
-    (each page of a fresh one costs a page fault), else in a new one."""
+    """The _wht_rows of packed tables' +-1 rows, unpacked from the big-endian
+    bytes of their _to_words rows of any width (a table below 8 bits sits in
+    the low bits), in a _scratch the caller may pass to reuse it (each page
+    of a fresh one costs a page fault), else in a new one."""
     n = 1 << m
     pair = (_scratch(len(tables), m) if scratch is None else scratch)[:, : len(tables)]
-    bits = np.unpackbits(_to_words(tables, n).astype(">u8").view(np.uint8), axis=1)[:, -n:]
+    words = _to_words(tables, n)
+    bits = np.unpackbits(words.astype(words.dtype.newbyteorder(">")).view(np.uint8), axis=1)[:, -n:]
     np.subtract(1, 2 * bits, out=pair[0], dtype=pair.dtype)
     return _wht_rows(pair)
 

@@ -9,7 +9,8 @@ by dense Krawtchouk columns (the recurrence in the argument i, where the
 package's transforms use rows and the recurrence in the degree).
 
 The positions that index the cosets have their own oracle here too:
-eliminated_pivots, the information set by Gaussian elimination."""
+eliminated_pivots, the information set by Gaussian elimination.  So has
+the span walker: iter_span walks a span one Python int at a time."""
 
 from functools import lru_cache
 
@@ -17,6 +18,17 @@ from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import TruthTable
 from rmlab.krawtchouk import central_column, kraw_column
 from rmlab.rmcodes import RMParams, WeightDistribution, dual_params, monomial_basis
+
+
+def iter_span(basis: list[int], offset: int = 0):
+    """Yield every element of {offset XOR span(basis)} as a packed int, in
+    Gray order (consecutive elements differ by one basis vector): the
+    reference walk that the SpanCounter tests compare the block walk against."""
+    cur = offset
+    yield cur
+    for step in range(1, 1 << len(basis)):
+        cur ^= basis[(step & -step).bit_length() - 1]
+        yield cur
 
 
 def span_distribution(basis: list[int], n: int) -> WeightDistribution:

@@ -1,34 +1,44 @@
+import collections
 import random
 
 import numpy as np
 import pytest
 
+from coset_oracle import iter_span
 from rmlab import _bitenum, harness
 from rmlab.bfcore import TruthTable
-from rmlab.errors import ParameterError
+from rmlab.errors import ExactnessError, ParameterError
 from rmlab.harness import Scope, census_balanced
 from rmlab.rmcodes import RMParams, monomial_basis, rm_weight_distribution
 
 
-def oracle_histogram(basis, n, offset=0, keys=None, key_bits=0):
-    """Weight counts of the words offset XOR w, one row per key of the span
-    word w, over every combination of the basis (dependent ones included)."""
-    keys = keys or [0] * len(basis)
-    hist = [[0] * (n + 1) for _ in range(1 << key_bits)]
+def keyed_oracle(basis, offset, keys):
+    """{(key of w, weight of offset XOR w): count} over the span words w,
+    every combination of the basis (dependent ones included)."""
+    found = collections.Counter()
     for g in range(1 << len(basis)):
         word, key = offset, 0
         for i, (b, k) in enumerate(zip(basis, keys)):
             if g >> i & 1:
                 word ^= b
                 key ^= k
-        hist[key][word.bit_count()] += 1
+        found[key, word.bit_count()] += 1
+    return found
+
+
+def oracle_histogram(basis, n, offset=0, keys=None, key_bits=0):
+    """Weight counts of the words offset XOR w, one row per key of the span
+    word w: keyed_oracle as dense rows."""
+    hist = [[0] * (n + 1) for _ in range(1 << key_bits)]
+    for (key, weight), count in keyed_oracle(basis, offset, keys or [0] * len(basis)).items():
+        hist[key][weight] += count
     return hist
 
 
 def mask_oracle(basis, n, offset, mask):
     """Weight counts of the coset words with even intersection with mask."""
     hist = [0] * (n + 1)
-    for word in _bitenum.iter_span(basis, offset):
+    for word in iter_span(basis, offset):
         if (word & mask).bit_count() % 2 == 0:
             hist[word.bit_count()] += 1
     return hist
@@ -109,6 +119,49 @@ def test_multi_bit_keys_match_oracle(monkeypatch, block_log2, n):
                 assert counts.tolist() == [sum(row[n // 2] for row in expected)]
 
 
+def keyed_walk(counter, offset):
+    """{(key, weight): count} of a keyed counter's walk (no all-ones table in
+    its basis), read from the block's key column at each step: no dense
+    histogram of 2^key_bits rows."""
+    def tally(block):
+        weights = _bitenum._popcount_rows(block[:, :-1])
+        return collections.Counter(zip(block[:, -1].tolist(), weights.tolist()))
+
+    return counter._walk(_bitenum._to_words([offset], counter.n)[0], tally)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_keys_as_wide_as_the_word_match_oracle(monkeypatch, n):
+    # the key column of an 8-, 16- or 32-bit table is a word of that width:
+    # keys of the full width, top bit set, stay exact through the block and
+    # the Gray fold, and one bit more is refused before anything is built
+    monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", 2)
+    rng = random.Random(f"wide keys:{n}")
+    basis = [rng.getrandbits(n) for _ in range(5)]
+    keys = [1 << (n - 1) | rng.getrandbits(n) for _ in range(5)]
+    counter = _bitenum.SpanCounter(basis, n, keys, n)
+    assert counter._block.dtype.itemsize * 8 == n
+    for offset in (0, rng.getrandbits(n)):
+        assert keyed_walk(counter, offset) == keyed_oracle(basis, offset, keys)
+        if n <= 16:  # a dense histogram of 2^32 keys would not fit in memory
+            for b, k in ((basis, keys), (basis + [(1 << n) - 1], keys + [1 << (n - 1)])):
+                check_walk(_bitenum.SpanCounter(b, n, k, n), offset, oracle_histogram(b, n, offset, k, n))
+    monkeypatch.setattr(_bitenum, "_to_words", None)
+    with pytest.raises(ExactnessError, match=f"{n + 1}-bit keys"):
+        _bitenum.SpanCounter(basis, n, keys, n + 1)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_one_word_block_is_as_wide_as_the_table(m):
+    # 2^20 rows of 16-bit tables take 2 MB where 64-bit words took 8 MB
+    n = 1 << m
+    width = {1: 1, 2: 1, 4: 1, 8: 1, 16: 2, 32: 4, 64: 8}[n]
+    rng = random.Random(f"width:{m}")
+    basis = [rng.getrandbits(n) for _ in range(_bitenum._BLOCK_LOG2)]
+    for counter in (_bitenum.SpanCounter(basis, n), _bitenum.SpanCounter(basis, n, [1] * len(basis), 1)):
+        assert counter._block.dtype.itemsize == width
+
+
 @pytest.mark.parametrize("n", [64, 128, 1024, 1 << 16])
 def test_block_holds_at_most_block_log2_words(n):
     # a one-word table keeps 2^_BLOCK_LOG2 rows; a longer one keeps as many
@@ -145,7 +198,7 @@ def test_dependent_basis_and_offset_in_span(monkeypatch):
 def count_oracle(basis, n, offset):
     """Weight counts of offset XOR span(basis), by iter_span and int.bit_count."""
     hist = [0] * (n + 1)
-    for word in _bitenum.iter_span(basis, offset):
+    for word in iter_span(basis, offset):
         hist[word.bit_count()] += 1
     return hist
 
@@ -277,6 +330,18 @@ def test_span_rows_and_hex_rows_match_the_int_tables():
         assert [row.tobytes().decode() for row in digits] == hexes
 
 
+def test_span_rows_of_a_chunk_across_a_power_of_two():
+    # one census chunk of 4,096 ids, 6144..10239, crossing 2^13
+    rng = random.Random("chunk")
+    ids = np.arange(6144, 6144 + 4096)
+    for m in range(1, 9):
+        n = 1 << m
+        basis = [rng.getrandbits(n) for _ in range(14)]
+        expected = _bitenum._to_words([harness._build_rep(basis, int(g)) for g in ids], n)
+        rows = _bitenum.span_rows(basis, n, ids)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+
+
 def test_to_words_rows_are_big_endian_words():
     rng = random.Random("words")
     for m in range(1, 13):
@@ -285,7 +350,8 @@ def test_to_words_rows_are_big_endian_words():
         words = max(1, n // 64)
         expected = [[t >> (64 * (words - 1 - w)) & ((1 << 64) - 1) for w in range(words)] for t in tables]
         rows = _bitenum._to_words(tables, n)
-        assert rows.dtype == np.uint64 and rows.shape == (len(tables), words)
+        width = np.uint8 if n <= 8 else np.uint16 if n == 16 else np.uint32 if n == 32 else np.uint64
+        assert rows.dtype == width and rows.shape == (len(tables), words)
         assert rows.tolist() == expected
         assert _bitenum._to_words([], n).shape == (0, words)
     with pytest.raises(ParameterError, match="not a whole number of words"):

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coset_oracle import coset_distribution, eliminated_pivots
+from coset_oracle import coset_distribution, eliminated_pivots, iter_span
 from rmlab import harness, rmcodes, spectral, transforms
-from rmlab._bitenum import SpanCounter, iter_span
+from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import (

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coset_oracle import eliminated_pivots
-from rmlab._bitenum import iter_span
+from coset_oracle import eliminated_pivots, iter_span
 from rmlab.bfcore import TruthTable, tt_from_anf, AnfMonomialSet, anf_from_tt
 from rmlab.errors import CapExceededError, ParameterError
 from rmlab.harness import Scope, _rep_basis
