@@ -45,6 +45,12 @@ def _word_type(n: int) -> np.dtype:
     return np.dtype(f"u{max(1, min(n, 64) // 8)}")
 
 
+def check_key_bits(key_bits: int, n: int, what: str = "keys") -> None:
+    """Refuse keys wider than the key column, one word of n-bit tables."""
+    if key_bits > 8 * _word_type(n).itemsize:
+        raise ExactnessError(f"{key_bits}-bit {what} do not fit the key column of {n}-bit tables")
+
+
 def _to_words(tables: Sequence[int], n: int) -> np.ndarray:
     """Stack packed tables into a (len, n/64 or 1) matrix of _word_type(n)
     words, high word first; a table below 8 bits sits in a word's low bits."""
@@ -115,8 +121,7 @@ class SpanCounter:
     """
 
     def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
-        if key_bits > 8 * _word_type(n).itemsize:
-            raise ExactnessError(f"{key_bits}-bit keys do not fit the key column of {n}-bit tables")
+        check_key_bits(key_bits, n)
         self.n = n
         self._key_bits = key_bits
         basis, keys = list(basis), list(keys)

@@ -415,8 +415,7 @@ def _dual_table(
     of F and a cached contraction."""
     r, n, dual = len(basis), code.n, dual_params(code)
     require_cap(dual.dimension, cap, f"dual walk of {code} over {dual}")
-    if r > 64:
-        raise ExactnessError(f"{r}-bit syndromes do not fit the 64-bit key column")
+    _bitenum.check_key_bits(r, n, "syndromes")
     dtype = _exact_float(dual.dimension, f"the transform of a {dual.dimension}-dimensional dual")
     require_cap(r + code.m, cap, f"dual walk of {code} (2^{r} syndromes x {n + 1} weights)")
     hist = code_counter(dual, basis).weight_histogram().reshape(1 << r, n + 1)

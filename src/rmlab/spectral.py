@@ -15,6 +15,13 @@ as 32-row stacks on one thread), and GEMMs of exactly 64 x 64 x 64 from
 two threads ran one at a time.  With every product on its caller's
 thread, sampled rm1 counts one batch per usable core; the sums are exact
 however the work is split.
+
+Every full-size buffer of a batch lives in its _scratch pair, which
+sampled rm1 reuses batch after batch: _spectra gathers the +-1 rows into
+pair[0] from a (256, 8) table of signs, one row per byte of the tables,
+the kernel writes between the halves, and _rm1_counts writes its W == 0
+flags into the half that holds no spectrum.  Fresh temporaries of that
+size cost a page fault per 4 KB each in a new process.
 """
 
 from __future__ import annotations
@@ -124,21 +131,37 @@ def wht(f: TruthTable) -> WalshSpectrum:
 
 
 def _scratch(rows: int, m: int) -> np.ndarray:
-    """The _wht_rows pair for up to `rows` tables, typed for their sums 2^m."""
+    """The _wht_rows pair for up to `rows` tables, typed for their sums 2^m:
+    the home of every full-size buffer of a batch (module docstring)."""
     _check_m(m)
     return np.empty((2, rows, 1 << m), _exact_float(m, f"the spectrum of a {m}-variable table"))
 
 
-def _spectra(tables: Sequence[int], m: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The _wht_rows of packed tables' +-1 rows, unpacked from the big-endian
-    bytes of their _to_words rows of any width (a table below 8 bits sits in
-    the low bits), in a _scratch the caller may pass to reuse it (each page
-    of a fresh one costs a page fault), else in a new one."""
-    n = 1 << m
-    pair = (_scratch(len(tables), m) if scratch is None else scratch)[:, : len(tables)]
+@lru_cache(maxsize=None)
+def _signs(dtype: type) -> np.ndarray:
+    """The (256, 8) table of (-1)^bit for each byte's bits, most
+    significant first, built once per dtype."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    signs = 1 - 2 * bits.astype(dtype)
+    signs.flags.writeable = False  # one array serves every caller
+    return signs
+
+
+def _spectra(tables: Sequence[int], m: int, pair: np.ndarray) -> np.ndarray:
+    """The _wht_rows of packed tables' +-1 rows in pair, a _scratch of
+    len(tables) rows.  The rows are gathered into pair[0] from _signs by
+    the big-endian bytes of their _to_words rows of any width (a table
+    below 8 bits sits in a byte's low bits), with mode="clip": the default
+    "raise" writes through a temporary of the full size, and a uint8 index
+    into 256 rows never clips."""
+    n, rows = 1 << m, len(tables)
     words = _to_words(tables, n)
-    bits = np.unpackbits(words.astype(words.dtype.newbyteorder(">")).view(np.uint8), axis=1)[:, -n:]
-    np.subtract(1, 2 * bits, out=pair[0], dtype=pair.dtype)
+    signs = _signs(pair.dtype.type)
+    if n < 8:
+        pair[0] = signs[words[:, 0], 8 - n :]
+    else:
+        data = words.astype(words.dtype.newbyteorder(">")).view(np.uint8)
+        np.take(signs, data, axis=0, out=pair[0].reshape(rows, n // 8, 8), mode="clip")
     return _wht_rows(pair)
 
 
@@ -147,7 +170,7 @@ def wht_many(tables: Sequence[int], m: int) -> np.ndarray:
     _check_m(m)
     if any(t < 0 or t >> (1 << m) for t in tables):
         raise ParameterError(f"a table is negative or wider than 2^{m} bits")
-    return _spectra(tables, m).astype(np.int32)
+    return _spectra(tables, m, _scratch(len(tables), m)).astype(np.int32)
 
 
 def _rm1_counts(
@@ -160,13 +183,21 @@ def _rm1_counts(
     |W| <= 2^m and Parseval's sum of W^2 = 2^(2m), summed in a type exact
     to 2^(2m+1), so m <= 26: rounding of non-negative terms starts only
     past that limit and never comes back below it, so a wrong sum either
-    stays exact or ends above 2^(2m).  scratch is passed on to _spectra."""
+    stays exact or ends above 2^(2m).  The W == 0 flags are written as
+    bools into the half of the _scratch pair that holds no spectrum, so a
+    batch allocates nothing of its full size.  The caller may pass a
+    scratch of at least len(tables) rows to reuse it (each page of a
+    fresh one costs a page fault), else a new one is made."""
     n = 1 << m
     squares = _exact_float(2 * m + 1, f"Parseval's sum at m={m}")
-    spectra = _spectra(tables, m, scratch)
+    pair = (_scratch(len(tables), m) if scratch is None else scratch)[:, : len(tables)]
+    spectra = _spectra(tables, m, pair)
     hi, lo = spectra.max(axis=1), spectra.min(axis=1)
     if (np.any(hi > n) or np.any(lo < -n)
             or np.any(np.einsum("ij,ij->i", spectra, spectra, dtype=squares) != n * n)):
         raise ExactnessError(f"a spectrum at m={m} breaks |W| <= 2^m or Parseval")
-    zeros = _popcount_rows(np.packbits(spectra == 0, axis=-1)).astype(np.int64)
+    idle = pair[1] if np.may_share_memory(spectra, pair[0]) else pair[0]
+    flags = idle.reshape(-1).view(np.bool_)[: spectra.size].reshape(spectra.shape)
+    np.equal(spectra, 0, out=flags)
+    zeros = _popcount_rows(np.packbits(flags, axis=-1)).astype(np.int64)
     return 2 * zeros, (hi == n) | (lo == -n)

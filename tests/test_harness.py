@@ -386,7 +386,7 @@ def test_dual_table_equals_brute_distributions(k, m, scope):
 def test_dual_census_asserts_its_integer_bounds(monkeypatch):
     # every bound is checked before the dual walk starts
     monkeypatch.setattr(harness._bitenum, "SpanCounter", None)
-    # 126 syndrome bits: more than the 64-bit key column holds
+    # 126 syndrome bits: more than the key column of 512-bit tables, one 64-bit word, holds
     with pytest.raises(ExactnessError, match="126-bit syndromes"):
         harness._dual_census(RMParams(3, 9), Scope.WITHIN_NEXT_ORDER, cap=1000, coset_cap=1 << 200)
     # 64 syndrome bits fit, but transform sums of a 64-dimensional dual may pass float64's 2^53

@@ -229,6 +229,66 @@ def test_rm1_counts_equal_the_int64_oracle():
             assert all(flag for t, flag in zip(batch, flags) if t in affine), m
 
 
+@pytest.mark.parametrize("dtype, float32_bits", [(np.float32, 24), (np.float64, 0)])
+def test_gathered_sign_rows_equal_unpacked_bits(monkeypatch, dtype, float32_bits):
+    # m = 1, 2 take the sub-byte slice, m = 3 one byte per table and m >= 4
+    # several; the rows of a reused scratch are overwritten whatever they
+    # held, and the rows past the batch are left alone
+    monkeypatch.setattr(spectral, "_FLOAT32_BITS", float32_bits)
+    monkeypatch.setattr(spectral, "_wht_rows", lambda pair: pair[0])
+    rng = random.Random(26)
+    for m in range(1, 14):
+        n = 1 << m
+        for rows in (0, 1, 7):
+            tables = [(1 << n) - 1, 0, 1 << (n - 1)][:rows] + [rng.getrandbits(n) for _ in range(rows - 3)]
+            want = sign_rows(tables, m)
+            scratch = np.full((2, rows + 2, n), np.nan, dtype)
+            got = spectral._spectra(tables, m, scratch[:, :rows])
+            assert got.dtype == dtype and np.array_equal(got, want), (m, rows)
+            assert np.isnan(scratch[0, rows:]).all(), (m, rows)
+
+
+@pytest.mark.parametrize("m", [2, 6, 7, 12, 13, 16])
+def test_zero_flags_leave_the_spectra_whole(m):
+    # 1, 2 and 3 Hadamard factors (m <= 6, 7..12, 13..16) leave the spectra
+    # in pair[1], pair[0] and pair[1]: the W == 0 flags go to the other
+    # half, which a reused scratch holds stale values in
+    n = 1 << m
+    rng = random.Random(f"zero flags:{m}")
+    quadratic = tt_from_anf(AnfMonomialSet.from_str(m, "Y1Y2")).bits  # n - 4 zeros
+    tables = [quadratic, linear_tt(m, rng.randrange(n)).bits]
+    tables += [rng.getrandbits(n) for _ in range(max(1, (1 << 14) // n))]
+    spectra = fwht_butterfly(sign_rows(tables, m))
+    scratch = spectral._scratch(len(tables) + 1, m)
+    scratch[...] = 3
+    counts, affine = spectral._rm1_counts(tables, m, scratch)
+    assert np.array_equal(counts, 2 * np.count_nonzero(spectra == 0, axis=1))
+    assert np.array_equal(affine, np.abs(spectra).max(axis=1) == n)
+    assert counts[0] == 2 * (n - 4) and affine[1]
+    held = [np.array_equal(half[: len(tables)], spectra) for half in scratch]
+    assert held == [m in range(7, 13), m not in range(7, 13)]
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_rm1_batch_allocates_little_beside_its_scratch(m):
+    # a sampled batch of 2^18 entries fills its scratch in place: past the
+    # cached +-1 and Hadamard tables of a first call, it allocates about a
+    # byte per entry (take's intp copy of the byte indices), not the
+    # unpacked bits, their doubles and the zero flags (2.26 bytes)
+    n = 1 << m
+    rng = random.Random(m)
+    batch = [rng.getrandbits(n) for _ in range((1 << 18) // n)]
+    scratch = spectral._scratch(len(batch), m)
+    spectral._rm1_counts(batch, m, scratch)
+    tracemalloc.start()
+    try:
+        spectral._rm1_counts(batch, m, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 18)
+
+
 @pytest.mark.parametrize("m", [11, 12])
 def test_parseval_sum_sees_one_unit_past_2_2m(monkeypatch, m):
     # squares summing to 2^(2m) + 1, which float32 rounds to 2^24 at m = 12:
