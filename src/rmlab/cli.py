@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import locale  # argparse's gettext imports it at its first message: load it here, not in main
 import sys
 
 from .bfcore import AnfMonomialSet, TruthTable, hex_layout, tt_from_anf

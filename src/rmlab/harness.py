@@ -21,8 +21,9 @@ and exhaustive rm1 a strict maximum (_strict_max), oddweight an even
 weight among the odd-weight cosets, equidist a second distribution.
 Brute censuses walk the code's span once per chunk of rep ids, counting
 every rep of the chunk in batched numpy passes; chunks shard
-deterministically across worker processes and can resume from an
-append-only, checksummed checkpoint log.  Sampled rm1 draws its tables
+deterministically across worker processes, whose pool is imported only
+for more than one worker, and can resume from an append-only,
+checksummed checkpoint log.  Sampled rm1 draws its tables
 in the calling thread and counts batches of them on one thread per
 usable core, reading the counts in draw order.  Exhaustive rm1's census is
 spectral; theorem5's transform method, oddweight, equidist and the
@@ -39,7 +40,7 @@ import random
 import re
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import comb
@@ -366,6 +367,8 @@ def census_balanced(
     starts = range(len(counts), ids, _CHECKPOINT_CHUNK)
     stops = [min(a + _CHECKPOINT_CHUNK, ids) for a in starts]
     chunk = partial(_count_chunk, code, scope)
+    if workers > 1:  # the process pool loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for a, part in zip(starts, (pool.map if pool else map)(chunk, starts, stops)):
             counts.extend(part)
@@ -557,7 +560,6 @@ def verify_rm1_proposition(
         raise ParameterError(f"sampled proposition check supports 2 <= m <= 16, got {m}")
     if samples < 1:
         raise ParameterError(f"sample count must be positive, got {samples}")
-    from concurrent.futures import ThreadPoolExecutor
 
     n = 1 << m
     rng = random.Random(seed)

@@ -179,25 +179,26 @@ def _rm1_counts(
     """Balanced words in each table's coset of RM(1,m), twice its spectral
     zeros (wt(f + x.omega) = (n - W_f(omega))/2, and complementing flips
     the sign of W), and which tables are affine (|W| = 2^m at some omega),
-    read from the float spectra in place.  Every spectrum must have
-    |W| <= 2^m and Parseval's sum of W^2 = 2^(2m), summed in a type exact
-    to 2^(2m+1), so m <= 26: rounding of non-negative terms starts only
-    past that limit and never comes back below it, so a wrong sum either
-    stays exact or ends above 2^(2m).  The W == 0 flags are written as
-    bools into the half of the _scratch pair that holds no spectrum, so a
-    batch allocates nothing of its full size.  The caller may pass a
-    scratch of at least len(tables) rows to reuse it (each page of a
-    fresh one costs a page fault), else a new one is made."""
+    read from the float spectra in place.  Every spectrum must meet
+    Parseval's sum of W^2 = 2^(2m), summed in a type exact to 2^(2m+1),
+    so m <= 26: rounding of non-negative terms starts only past that limit
+    and never comes back below it, so a wrong sum either stays exact or
+    ends above 2^(2m).  An exact sum gives |W| <= 2^m, and a table is then
+    affine exactly when n - 1 of its W are 0: the one left has W^2 = 2^(2m),
+    and an affine table's |W| = 2^m leaves no square for any other omega.
+    The W == 0 flags are written as bools into the half of the _scratch
+    pair that holds no spectrum, so a batch allocates nothing of its full
+    size.  The caller may pass a scratch of at least len(tables) rows to
+    reuse it (each page of a fresh one costs a page fault), else a new one
+    is made."""
     n = 1 << m
     squares = _exact_float(2 * m + 1, f"Parseval's sum at m={m}")
     pair = (_scratch(len(tables), m) if scratch is None else scratch)[:, : len(tables)]
     spectra = _spectra(tables, m, pair)
-    hi, lo = spectra.max(axis=1), spectra.min(axis=1)
-    if (np.any(hi > n) or np.any(lo < -n)
-            or np.any(np.einsum("ij,ij->i", spectra, spectra, dtype=squares) != n * n)):
-        raise ExactnessError(f"a spectrum at m={m} breaks |W| <= 2^m or Parseval")
+    if np.any(np.einsum("ij,ij->i", spectra, spectra, dtype=squares) != n * n):
+        raise ExactnessError(f"a spectrum at m={m} breaks Parseval's sum of W^2 = 2^(2m)")
     idle = pair[1] if np.may_share_memory(spectra, pair[0]) else pair[0]
     flags = idle.reshape(-1).view(np.bool_)[: spectra.size].reshape(spectra.shape)
     np.equal(spectra, 0, out=flags)
     zeros = _popcount_rows(np.packbits(flags, axis=-1)).astype(np.int64)
-    return 2 * zeros, (hi == n) | (lo == -n)
+    return 2 * zeros, zeros == n - 1

@@ -41,6 +41,18 @@ RUN_ENTRY_POINT = (
     "sys.exit(script())\n"
 )
 
+# Imports rmlab.cli, runs cli.main(sys.argv[1:]) and prints one JSON line:
+# main's return code, the modules the import loaded and those main loaded.
+RUN_MAIN_MODULES = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import rmlab.cli\n"
+    "ready = set(sys.modules)\n"
+    "code = rmlab.cli.main(sys.argv[1:])\n"
+    "print(json.dumps({'code': code, 'import': sorted(ready - before),"
+    " 'main': sorted(set(sys.modules) - ready)}))\n"
+)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -666,3 +678,33 @@ def test_full_verification_rejects_nonpositive_workers(tmp_path, workers):
 def test_console_script_on_path(tmp_path):
     proc = run_child(["rmlab", *WEIGHTDIST_ARGS], tmp_path)
     assert proc.returncode == 0 and proc.stdout == WEIGHTDIST_CSV, proc.stderr
+
+
+def main_modules(argv, tmp_path) -> dict:
+    proc = run_child([sys.executable, "-c", RUN_MAIN_MODULES, *argv], tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_the_process_pool(tmp_path):
+    # only --workers above 1 uses the pool, and its import loads
+    # multiprocessing, socket and subprocess into every process
+    loaded = main_modules(WEIGHTDIST_ARGS, tmp_path)["import"]
+    assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["weightdist", "-k", "6", "-m", "8", "--method", "macwilliams"],
+    ["cosetdist", "-k", "6", "-m", "8", "--method", "transform", "--rep", "0" * 63 + "1"],
+    ["verify", "theorem5", "-k", "3", "-m", "5", "--method", "transform", "--workers", "1"],
+    ["verify", "rm1", "-m", "10", "--sampled", "--samples", "300", "--seed", "5"],
+    ["verify", "rm1", "-m", "4", "--exhaustive"],
+    ["census", "-k", "0", "-m", "4", "--scope", "full", "--format", "table", "--workers", "1",
+     "--checkpoint", "census.log"],
+    ["weightdist", "-k", "3", "-m", "5", "--method", "brute"],
+], ids=["macwilliams", "cosetdist", "theorem5", "rm1-sampled", "rm1-exhaustive", "census", "brute"])
+def test_main_imports_no_module(tmp_path, argv):
+    # one command of each kind a one-worker run makes: every module it
+    # needs is loaded with rmlab.cli, none inside main
+    got = main_modules([*argv, "--output", "out"], tmp_path)
+    assert got["code"] == 0 and got["main"] == [], got["main"]

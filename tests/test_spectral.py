@@ -300,6 +300,25 @@ def test_parseval_sum_sees_one_unit_past_2_2m(monkeypatch, m):
         spectral._rm1_counts([0], m)
 
 
+@pytest.mark.parametrize("m", [2, 11, 12, 16])
+def test_parseval_alone_bounds_w_and_flags_affine_rows(monkeypatch, m):
+    # the Parseval check alone bounds |W| by 2^m, and under it a row is
+    # affine exactly when it has n - 1 zeros
+    n = 1 << m
+    dtype = spectral._exact_float(m, "spectra")
+    row = np.zeros((1, n), dtype=dtype)
+    monkeypatch.setattr(spectral, "_spectra", lambda tables, m, scratch: row)
+    for values in ([n + 2], [n, 2], [n - 2]):
+        row[0, : len(values)] = values
+        with pytest.raises(ExactnessError, match="Parseval"):
+            spectral._rm1_counts([0], m)
+        row[...] = 0
+    for value in (n, -n):
+        row[0, n // 2] = value
+        counts, affine = spectral._rm1_counts([0], m)
+        assert counts.tolist() == [2 * (n - 1)] and affine.tolist() == [True]
+
+
 def test_rm1_count_refuses_m_past_float64_parseval():
     # 2^27 squares of up to 2^54 pass float64's 2^53: refused before any
     # table is unpacked (the 2^27 +-1 entries alone would be 512 MB)
