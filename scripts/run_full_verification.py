@@ -6,8 +6,8 @@ The strict maximum runs by brute enumeration at m <= 4 and by the
 dual-side transform at (2,3), at m = 5 and 6 (brute cannot reach m = 6)
 and at (5,7), (6,7), (6,8) and (7,8), the pairs at m = 7 and 8 whose
 cosets fit the default coset cap.  RM(2,5), the paper's headline pair,
-is checked both ways: its brute census over 65535 cosets takes 1.6-2.5 s
-with one worker and 1.2-1.5 s with two (ten runs each, 2 shared cores,
+is checked both ways: its brute census over 65535 cosets takes 0.26-0.28
+s with one worker and 0.14-0.17 s with two (ten runs each, 2 shared cores,
 Python 3.11, numpy 2.4).  The conjecture runs by brute census at six pairs with
 m <= 5 and at (1,6).  The odd-weight and equidistribution checks read
 the same dual table and run at m = 3..8, 10 ms or less each.

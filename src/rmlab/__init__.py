@@ -17,9 +17,7 @@ from .harness import (
     Mode,
     Scope,
     Verdict,
-    balanced_count_of_coset,
     census_balanced,
-    coset_representatives,
     coset_weight_distribution,
     verify_hamming_coset_equidistribution,
     verify_oddweight_cosets,

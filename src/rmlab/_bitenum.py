@@ -10,22 +10,22 @@ is materialized once and the high basis vectors are folded in by
 Gray-code stepping, one XOR of the whole block per step.
 
 A span is queried for its weight histogram against one offset, or for
-the words of one weight against a batch of offsets: a census reads one
-weight for thousands of coset representatives, so each numpy pass XORs
-as many offsets against the block as fit in _PASS_WORDS words and
-counts matches, with no histogram; a block that fills a pass alone takes
-one offset at a time, XORed into it in place.
+the words of one weight against a batch of offsets (a census reads one
+weight for thousands of coset representatives) in numpy passes of about
+_PASS_WORDS words, with no histogram.
 
-Every Reed-Muller code RM(k,m) with k >= 0 holds the all-ones word, and
-adding it maps a coset word of weight w to one of weight n - w.  So a
-counter takes that table out of its basis, walks the span of the rest
-(half the words) and adds each walked word's complement back into the
-tallies exactly.
+Two folds shrink the walk of a code.  Every RM(k,m) with k >= 0 holds
+the all-ones word, which maps a coset word of weight w to one of weight
+n - w: a counter walks the span of the other tables and adds each walked
+word's complement back exactly.  And in the Plotkin form RM(k,m) =
+{(u | u+v)}, the code words on one half of the cube are a copy K of
+RM(k-1,m-1): a counter of one-word tables may walk the quotient by K
+and read off one table the weights of each walked word's coset of K.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +38,8 @@ _BLOCK_LOG2 = 20
 # table words one pass of a batched query XORs against the block (0.25-2
 # MB by width) keep a census below the peak memory of a 2^20-word walk
 _PASS_WORDS = 1 << 18
+# the kernel fold's set-up (about 0.1 ms) in words of a full walk
+_FOLD_SETUP = 1 << 17
 
 
 def _word_type(n: int) -> np.dtype:
@@ -118,6 +120,16 @@ class SpanCounter:
     the remaining basis tables in by Gray-code stepping, one block-wide
     XOR plus a tally per step; before returning it XORs out whatever it
     applied, so the block is the same for every query.
+
+    An unkeyed counter of one-word tables (2 <= n <= 32) may take the
+    kernel fold instead.  Echelon rows with no bit in the high half span
+    K, the span words on the low half; the walk covers the other rows
+    (the quotient) as [high half, syndrome of the low half mod K] and
+    reads each word's coset of K off a table D[syndrome, weight] of the
+    2^(n/2) half-words.  A basis row that reduces to zero doubles D, so
+    dependent bases keep their multiset counts.  Each query takes the
+    fold when _folds prices it below the full walk for its offset count,
+    and the block is then never built.
     """
 
     def __init__(self, basis: Sequence[int], n: int, keys: Sequence[int] = (), key_bits: int = 0):
@@ -131,19 +143,69 @@ class SpanCounter:
             i = basis.index((1 << n) - 1)
             del basis[i]
             self._ones_key = int(keys.pop(i)) if key_bits else 0
+        self._basis = basis
         words = _to_words(basis, n)
         self._nwords = words.shape[1]
         if key_bits:
             words = np.column_stack((words, np.array(keys, dtype=words.dtype)))
-        lo = min(len(basis), max(0, _BLOCK_LOG2 - (self._nwords - 1).bit_length()))
-        self._block = _span_block(words, lo)
-        self._high = words[lo:]
+        self._lo = min(len(basis), max(0, _BLOCK_LOG2 - (self._nwords - 1).bit_length()))
+        self._words, self._high = words, words[self._lo :]
+
+    _block = cached_property(lambda self: _span_block(self._words, self._lo))  # built by the first full walk
+
+    @cached_property
+    def _echelon(self) -> tuple[list[int], list[int]]:
+        """Quotient and kernel rows of an echelon basis of the span (each
+        row reduced by those above it), split on a bit in the high half."""
+        rows: list[int] = []
+        for row in self._basis:
+            for b in rows:
+                row = min(row, row ^ b)
+            rows = sorted(rows + [row] * (row > 0), reverse=True)
+        return [b for b in rows if b >> self.n // 2], [b for b in rows if not b >> self.n // 2]
+
+    def _folds(self, offsets: int) -> bool:
+        """Whether a query of this many offsets takes the kernel fold: when its set-up,
+        D, contraction and walk (eight entries a word) cost no more than the full walk."""
+        if self._key_bits or not 2 <= self.n <= 32 or offsets << len(self._basis) < _FOLD_SETUP:
+            return False
+        half, (quotient, kernel) = self.n // 2, self._echelon
+        table = (1 << half) + (1 << half - len(kernel) + 2 * (half + 1).bit_length())
+        return _FOLD_SETUP + table + (offsets << len(quotient) + 3) <= offsets << len(self._basis)
+
+    @cached_property
+    def _fold(self) -> tuple[SpanCounter, list[int], np.ndarray]:
+        """The quotient walk (keyed counter of the quotient rows' high halves,
+        keyed by syndrome), the syndrome of each unit half-word, and D:
+        weight j in column 2^s - 1 + j, zeros around it for the shifted
+        reads of _fold_counts, in a dtype that holds two entries' sum."""
+        (quotient, kernel), half = self._echelon, self.n // 2
+        free = [i for i in range(half) if all(b.bit_length() != i + 1 for b in kernel)]  # bits leading no row
+
+        def syndrome(v: int) -> int:  # v mod K, read off the bits that lead no kernel row
+            for b in kernel:
+                v = min(v, v ^ b)
+            return sum((v >> f & 1) << j for j, f in enumerate(free))
+
+        units = [syndrome(1 << i) for i in range(half)]
+        table = SpanCounter([1 << i for i in range(half)], half, units, len(free)).weight_histogram()
+        # n-bit tables, so that a high half of all ones is not folded out of the
+        # walk, and a key column even when K is the whole low half
+        syns = [syndrome(q % (1 << half)) for q in quotient]
+        walk = SpanCounter([q >> half for q in quotient], self.n, syns, max(1, len(free)))
+        table = table.reshape(-1, half + 1) << len(self._basis) - len(quotient) - len(kernel)
+        pad = (1 << (half + 1).bit_length()) - 1
+        table = np.pad(table, ((0, 0), (pad, self.n - half)))
+        return walk, units, table.astype(np.min_scalar_type(2 * table.max()))
 
     def weight_histogram(self, offset: int = 0) -> np.ndarray:
         """Weight histogram (length n+1) of {offset XOR span(basis)}; with
         keys, one such row for each key value s (2^key_bits rows), counting
         the words offset XOR w for the span words w whose key is s."""
-        hist = self._walk(_to_words([offset], self.n)[0], self._tally).reshape(-1, self.n + 1)
+        if self._folds(1):
+            hist = self._fold_histogram(offset)
+        else:
+            hist = self._walk(_to_words([offset], self.n)[0], self._tally).reshape(-1, self.n + 1)
         if self._ones_key is not None:
             self._add_complements(hist)
         return hist if self._key_bits else hist[0]
@@ -163,6 +225,8 @@ class SpanCounter:
         if offsets.ndim != 2 or offsets.shape[1] != self._nwords:
             raise ParameterError(f"offsets of shape {offsets.shape} are not rows of {self._nwords} words")
         scale = 2 if self._ones_key is not None and 2 * weight == self.n else 1
+        if self._folds(len(offsets)):
+            return scale * self._fold_counts(offsets, weight)
         per_pass = _PASS_WORDS // self._block.size
         if per_pass <= 1:
             count = partial(self._count_block, weight=weight)
@@ -192,6 +256,32 @@ class SpanCounter:
             if applied.any():
                 block ^= applied
         return total
+
+    def _fold_histogram(self, offset: int) -> np.ndarray:
+        """The (1, n+1) histogram of the kernel fold: the quotient walk's
+        (syndrome, high weight) histogram, contracted with D."""
+        (walk, units, table), half = self._fold, self.n // 2
+        syn = int(span_rows(units, self.n, np.array([offset % (1 << half)]))[0, 0])
+        pad = table.shape[1] - self.n - 1
+        pairs = walk.weight_histogram(offset >> half)[: len(table), : half + 1]
+        pairs = pairs.T @ table[np.arange(len(table)) ^ syn, pad : pad + half + 1]  # [high weight, low weight]
+        return np.array([[np.trace(pairs[::-1], j - half) for j in range(self.n + 1)]])
+
+    def _fold_counts(self, offsets: np.ndarray, weight: int) -> np.ndarray:
+        """weight_counts by the kernel fold: the quotient word x XOR t reads
+        D[syndrome, weight - high weight].  A pass reads _PASS_WORDS / 8
+        words at about 20 bytes each, less than a full walk's pass holds."""
+        (walk, units, table), (half, ones) = self._fold, (self.n // 2, self._ones_key is not None)
+        s = (half + 1).bit_length()  # a flat index of 2^s weight columns: (syndrome << s) + weight
+        wanted = sum(table[:, w : w + (1 << s)][:, ::-1] for w in {weight, self.n - weight if ones else weight})
+        his, syns = offsets >> half, span_rows(units, self.n, offsets[:, 0] % (1 << half)) << s
+        per_pass = max(1, _PASS_WORDS // 8 // len(walk._block))
+        counts = np.zeros(len(offsets), dtype=np.int64)
+        for a in range(0, len(offsets), per_pass):
+            hi, sy = his[a : a + per_pass], syns[a : a + per_pass]
+            tally = lambda b: wanted.take(b[:, 1] << s ^ sy | np.bitwise_count(b[:, 0] ^ hi)).sum(axis=1)
+            counts[a : a + len(hi)] = walk._walk(0, tally)
+        return counts
 
     def _tally(self, block: np.ndarray) -> np.ndarray:
         weights = _popcount_rows(block[:, : self._nwords])

@@ -187,25 +187,6 @@ def _capped_rep_basis(code: RMParams, scope: Scope, override: int | None) -> lis
     return _rep_basis(code, scope)
 
 
-def coset_representatives(code: RMParams, scope: Scope, coset_cap: int | None = None):
-    """One representative per nontrivial coset: nonzero vectors on the
-    positions u with popcount(u) > k (FULL_SPACE) or nonzero combinations
-    of the degree-(k+1) monomials (WITHIN_NEXT_ORDER), in counting order
-    of the combination index."""
-    basis = _capped_rep_basis(code, scope, coset_cap)
-    for g in range(1, 1 << len(basis)):
-        yield TruthTable(code.m, _build_rep(basis, g))
-
-
-def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = None) -> int:
-    """Words of weight n/2 in code + rep, by exhaustive enumeration
-    (rep = 0 gives the code's own balanced count)."""
-    if rep.m != code.m:
-        raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
-    require_cap(code.dimension, cap, f"counting balanced words in a coset of {code}")
-    return int(code_counter(code).weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class CosetCensus:
     """Balanced-word counts of the code (id 0) and every nontrivial coset

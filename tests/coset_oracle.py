@@ -10,14 +10,20 @@ package's transforms use rows and the recurrence in the degree).
 
 The positions that index the cosets have their own oracle here too:
 eliminated_pivots, the information set by Gaussian elimination.  So has
-the span walker: iter_span walks a span one Python int at a time."""
+the span walker: iter_span walks a span one Python int at a time.  And
+so have the censuses: coset_representatives lists one table per coset,
+and balanced_count_of_coset counts one coset's balanced words by its own
+walk of the code."""
 
 from functools import lru_cache
 
+from rmlab import _bitenum
 from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import TruthTable
+from rmlab.errors import ParameterError
+from rmlab.harness import Scope, _build_rep, _capped_rep_basis
 from rmlab.krawtchouk import central_column, kraw_column
-from rmlab.rmcodes import RMParams, WeightDistribution, dual_params, monomial_basis
+from rmlab.rmcodes import RMParams, WeightDistribution, code_counter, dual_params, monomial_basis, require_cap
 
 
 def iter_span(basis: list[int], offset: int = 0):
@@ -29,6 +35,25 @@ def iter_span(basis: list[int], offset: int = 0):
     for step in range(1, 1 << len(basis)):
         cur ^= basis[(step & -step).bit_length() - 1]
         yield cur
+
+
+def coset_representatives(code: RMParams, scope: Scope, coset_cap: int | None = None):
+    """One representative per nontrivial coset: nonzero vectors on the
+    positions u with popcount(u) > k (FULL_SPACE) or nonzero combinations
+    of the degree-(k+1) monomials (WITHIN_NEXT_ORDER), in counting order
+    of the combination index."""
+    basis = _capped_rep_basis(code, scope, coset_cap)
+    for g in range(1, 1 << len(basis)):
+        yield TruthTable(code.m, _build_rep(basis, g))
+
+
+def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = None) -> int:
+    """Words of weight n/2 in code + rep, by exhaustive enumeration
+    (rep = 0 gives the code's own balanced count)."""
+    if rep.m != code.m:
+        raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
+    require_cap(code.dimension, cap, f"counting balanced words in a coset of {code}")
+    return int(code_counter(code).weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
 
 
 def span_distribution(basis: list[int], n: int) -> WeightDistribution:

@@ -7,14 +7,12 @@ import time
 
 import numpy as np
 
-from coset_oracle import orthogonal_profile
+from coset_oracle import balanced_count_of_coset, coset_representatives, orthogonal_profile
 from rmlab.bfcore import TruthTable, tt_from_anf, AnfMonomialSet
 from rmlab.harness import (
     Method,
     Mode,
     Scope,
-    balanced_count_of_coset,
-    coset_representatives,
     coset_weight_distribution,
     verify_oddweight_cosets,
     verify_quotient_conjecture,

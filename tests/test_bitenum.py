@@ -1,15 +1,17 @@
 import collections
 import random
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
-from coset_oracle import iter_span
+from coset_oracle import coset_distribution, dense_transform, iter_span
 from rmlab import _bitenum, harness
 from rmlab.bfcore import TruthTable
 from rmlab.errors import ExactnessError, ParameterError
 from rmlab.harness import Scope, census_balanced
-from rmlab.rmcodes import RMParams, monomial_basis, rm_weight_distribution
+from rmlab.rmcodes import RMParams, code_counter, dual_params, monomial_basis, rm_membership, rm_weight_distribution
 
 
 def keyed_oracle(basis, offset, keys):
@@ -385,3 +387,160 @@ def test_census_rows_decode_every_entry(monkeypatch):
         for i, c in enumerate(census.id_counts()[1:], start=1):
             assert c == count_oracle([ones], 128, census.rep_table(i).bits)[64]
         check_rows(census)
+
+
+def force_fold(monkeypatch):
+    """Every unkeyed counter of one-word tables takes the kernel fold,
+    whatever its cost."""
+    monkeypatch.setattr(_bitenum.SpanCounter, "_folds", lambda self, offsets: not self._key_bits and 2 <= self.n <= 32)
+
+
+def check_fold(counter, n, offsets, expected):
+    """Histograms at each offset and counts at every weight against the
+    expected histograms, the queries leaving the full block unbuilt."""
+    for offset, e in zip(offsets, expected):
+        assert counter.weight_histogram(offset).tolist() == e, offset
+    words = _bitenum._to_words(offsets, n)
+    for w in range(n + 1):
+        assert counter.weight_counts(words, w).tolist() == [e[w] for e in expected], w
+    assert "_block" not in vars(counter)
+
+
+def fold_bases(rng, n):
+    """Bases that the kernel fold splits unevenly: rows on the low half
+    (kernel rows) and rows with a bit in the high half (quotient rows),
+    with a zero row, a repeated kernel row, a repeated quotient row, no
+    quotient, no kernel, or the all-ones table beside a kernel."""
+    half = n // 2
+
+    def low():
+        return rng.randrange(1, 1 << half)
+
+    def high(i=None):  # distinct leading bits i keep such rows independent on the high half
+        lead = half + (rng.randrange(half) if i is None else i)
+        return 1 << lead | rng.getrandbits(lead)
+
+    q, k = high(), low()
+    return {
+        "zero row": [q, 0, k, high()],
+        "repeated kernel row": [k, q, k],
+        "repeated quotient row": [q, k, q, low()],
+        "low half only": [low() for _ in range(3)],
+        "no kernel": [high(i) for i in range(min(3, half))],
+        "all ones beside a kernel": [k, (1 << n) - 1, q, low()],
+    }
+
+
+@pytest.mark.parametrize("pass_words", [8, 48, None])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_kernel_fold_matches_oracles(monkeypatch, n, pass_words):
+    # a block of two rows takes the quotient walk through Gray steps (at
+    # n = 32 the 2^16 half-words behind D would take 2^15 of them, so the
+    # block keeps 2^12 rows there); 8 and 48 pass words put one offset or
+    # three in a pass, so five offsets split into passes and a remainder
+    monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", 1 if n <= 16 else 12)
+    if pass_words is not None:
+        monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
+    force_fold(monkeypatch)
+    rng = random.Random(f"kernel fold:{n}:{pass_words}")
+    for name, basis in fold_bases(rng, n).items():
+        counter = _bitenum.SpanCounter(basis, n)
+        quotient, kernel = counter._echelon
+        assert (name != "low half only" or not quotient) and (name != "no kernel" or not kernel), name
+        offsets = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]
+        check_fold(counter, n, offsets, [count_oracle(basis, n, offset) for offset in offsets])
+
+
+def rm35_oracle(offset):
+    """RM(3,5)'s words offset XOR c, from the dual RM(1,5)'s 64 words by
+    MacWilliams: the code itself, or a coset by its orthogonal subcode."""
+    code = RMParams(3, 5)
+    if rm_membership(TruthTable(5, offset), code):
+        dual = [t.bits for t in monomial_basis(dual_params(code))]
+        return dense_transform(dict(enumerate(count_oracle(dual, 32, 0))), code.dimension, 32).to_dense()
+    return coset_distribution(code, TruthTable(5, offset)).to_dense()
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_kernel_fold_on_every_code_matches_oracles(monkeypatch, m):
+    # every RM(k,m) with m <= 5, the zero code RM(-1,m) included, the fold
+    # taken whatever it costs; the python walks reach dimension 16,
+    # MacWilliams RM(3,5), and the even-weight code RM(4,5) and the whole
+    # space RM(5,5) have closed forms
+    rng = random.Random(f"codes:{m}")
+    n = 1 << m
+    offsets = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]
+    expected = {}
+    for k in range(-1, m + 1):
+        basis = [t.bits for t in monomial_basis(RMParams(k, m))]
+        if len(basis) <= 16:
+            expected[k] = [count_oracle(basis, n, offset) for offset in offsets]
+        elif k == 3:
+            expected[k] = [rm35_oracle(offset) for offset in offsets]
+        else:
+            odd = [offset.bit_count() % 2 if k == 4 else None for offset in offsets]
+            expected[k] = [[comb(n, w) * (p is None or w % 2 == p) for w in range(n + 1)] for p in odd]
+    force_fold(monkeypatch)
+    for k in range(-1, m + 1):
+        counter = code_counter(RMParams(k, m))
+        check_fold(counter, n, offsets, expected[k])
+
+
+def test_rm35_takes_the_kernel_fold_through_gray_steps(monkeypatch):
+    # under the cost rule: 2^14 quotient words against the 32 cosets of
+    # RM(2,4), never the 2^25-word walk; a block of 2^12 rows and passes
+    # of two offsets take the quotient through Gray steps and split passes
+    offsets = [0, 0xFFFFFFFF, 0x0001, 0x12345678, 0x0F00F00D]
+    expected = [rm35_oracle(offset) for offset in offsets]
+    for block_log2, pass_words in ((None, None), (12, 1 << 16)):
+        if block_log2 is not None:
+            monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", block_log2)
+            monkeypatch.setattr(_bitenum, "_PASS_WORDS", pass_words)
+        counter = code_counter(RMParams(3, 5))
+        check_fold(counter, 32, offsets, expected)
+        walk, units, table = counter._fold
+        assert walk._block.shape == (1 << min(14, block_log2 or 20), 2) and len(walk._high) == 14 - (block_log2 or 14)
+        assert len(table) == 32
+
+
+def test_fold_rule_weighs_offsets_and_dimensions():
+    # RM(3,5) folds for one offset; RM(2,5) for a census batch but not for
+    # one histogram (its table of 2,048 cosets costs more than 2^15 words);
+    # RM(1,5) never (K is 1-dimensional: 2^15 cosets against a 2^5-word
+    # walk); keyed counters and two-word tables keep the full walk
+    assert code_counter(RMParams(3, 5))._folds(1)
+    assert code_counter(RMParams(2, 5))._folds(1024) and not code_counter(RMParams(2, 5))._folds(1)
+    assert not code_counter(RMParams(1, 5))._folds(1 << 16)
+    assert not any(code_counter(RMParams(k, m))._folds(32) for m in range(1, 5) for k in range(m - 1))
+    assert not code_counter(RMParams(3, 5), [1])._folds(1 << 16)
+    assert not code_counter(RMParams(2, 6))._folds(1 << 16)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rm35_distribution_peaks_under_two_megabytes():
+    # the full walk's block alone was 2^20 uint32 rows, 4 MB
+    code = RMParams(3, 5)
+    rm_weight_distribution(code)
+    assert traced_peak(lambda: rm_weight_distribution(code)) < 2 << 20
+
+
+def test_folded_census_pass_holds_no_more_than_a_full_pass(monkeypatch):
+    # one census chunk of RM(2,5): 4,096 offsets against 2^10 quotient words
+    # in passes of _PASS_WORDS / 8 words, or against the 2^15-word block
+    # in passes of _PASS_WORDS words
+    rng = random.Random("pass bytes")
+    offsets = _bitenum._to_words([rng.getrandbits(32) for _ in range(4096)], 32)
+    folded, full = code_counter(RMParams(2, 5)), code_counter(RMParams(2, 5))
+    assert folded._fold and full._block.size  # built before tracing
+    fold_peak = traced_peak(lambda: folded.weight_counts(offsets, 16))
+    monkeypatch.setattr(_bitenum.SpanCounter, "_folds", lambda self, offsets: False)
+    full_peak = traced_peak(lambda: full.weight_counts(offsets, 16))
+    assert fold_peak <= full_peak

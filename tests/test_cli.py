@@ -17,7 +17,8 @@ import rmlab
 from rmlab import _bitenum, cli
 from rmlab.bfcore import TruthTable
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
-from rmlab.harness import Method, Mode, Scope, Verdict, balanced_count_of_coset, census_balanced
+from coset_oracle import balanced_count_of_coset
+from rmlab.harness import Method, Mode, Scope, Verdict, census_balanced
 from rmlab.rmcodes import RMParams
 
 if sys.version_info >= (3, 11):

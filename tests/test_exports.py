@@ -8,8 +8,6 @@ PACKAGE = ROOT / "src" / "rmlab"
 UNCALLED = {
     # reference implementations the tests compare the fast paths against
     "anf_from_tt": "the Moebius-transform ANF, whose degree is the oracle for rm_membership",
-    "coset_representatives": "one table per coset, which the census oracles walk",
-    "balanced_count_of_coset": "one coset's count by enumeration, the oracle for the censuses and _rm1_counts",
     # parts of the MacWilliams sign proof of theorem5 that verify is to run
     "sign_class": "the sign of each central Krawtchouk value",
     "is_doubly_even": "whether the dual's weights are all 0 mod 4",

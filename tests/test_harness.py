@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coset_oracle import coset_distribution, eliminated_pivots, iter_span
+from coset_oracle import balanced_count_of_coset, coset_distribution, coset_representatives, eliminated_pivots, iter_span
 from rmlab import harness, rmcodes, spectral, transforms
 from rmlab._bitenum import SpanCounter
 from rmlab.bfcore import AnfMonomialSet, TruthTable, monomial_tt, tt_from_anf
@@ -24,9 +24,7 @@ from rmlab.harness import (
     Mode,
     Scope,
     Verdict,
-    balanced_count_of_coset,
     census_balanced,
-    coset_representatives,
     coset_weight_distribution,
     verify_hamming_coset_equidistribution,
     verify_oddweight_cosets,
