@@ -6,7 +6,6 @@ from .bfcore import (
     MAX_M,
     AnfMonomialSet,
     TruthTable,
-    anf_from_tt,
     monomial_tt,
     tt_from_anf,
 )

@@ -70,12 +70,6 @@ class TruthTable:
     def n(self) -> int:
         return 1 << self.m
 
-    def bit(self, i: int) -> int:
-        """Value f(x) at table position i."""
-        if not 0 <= i < self.n:
-            raise ParameterError(f"position {i} out of range 0..{self.n - 1}")
-        return (self.bits >> (self.n - 1 - i)) & 1
-
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         if not isinstance(other, TruthTable):
             return NotImplemented
@@ -139,13 +133,6 @@ class AnfMonomialSet:
                     raise ParameterError(f"variable index {j} out of range 1..{self.m}")
         object.__setattr__(self, "monomials", normalized)
 
-    @property
-    def degree(self) -> int | None:
-        """Max monomial size; None for the zero function (no monomials)."""
-        if not self.monomials:
-            return None
-        return max(len(s) for s in self.monomials)
-
     @classmethod
     def from_str(cls, m: int, text: str) -> "AnfMonomialSet":
         _check_m(m)
@@ -188,15 +175,3 @@ def _mobius_bits(bits: int, m: int) -> int:
         bits ^= (bits & comp) >> shift
     return bits
 
-
-def anf_from_tt(t: TruthTable) -> AnfMonomialSet:
-    """ANF of a truth table via the fast Moebius transform."""
-    coef = _mobius_bits(t.bits, t.m)
-    n = t.n
-    monomials = []
-    while coef:
-        low = coef & -coef
-        u = n - 1 - (low.bit_length() - 1)  # point index of this coefficient
-        monomials.append(frozenset(j for j in range(1, t.m + 1) if (u >> (t.m - j)) & 1))
-        coef ^= low
-    return AnfMonomialSet(t.m, frozenset(monomials))

@@ -4,10 +4,12 @@ P_k(x; n) = sum_j (-1)^j C(x, j) C(n-x, k-j), with C(a, b) = 0 for
 b > a as math.comb gives it, evaluated at integer arguments
 0 <= x <= n, always in exact integer arithmetic: a column
 (fixed k, every x) by the recurrence in x, a row (fixed x, every k) by
-the recurrence in k.  The central value K(i, n) = P_{n/2}(i; n) (n even),
-the column of degree n/2, drives the balanced-weight entry of every coset
-weight distribution, and its sign depends only on i mod 4: zero for odd
-i, negative for i = 2 (mod 4), positive for i = 0 (mod 4).
+the recurrence in k up to n/2 and the reflection P_{n-k}(x; n) =
+(-1)^x P_k(x; n) above it (MacWilliams & Sloane, ch. 5 sec. 7).  The
+central value K(i, n) = P_{n/2}(i; n) (n even), the column of degree
+n/2, drives the balanced-weight entry of every coset weight
+distribution, and its sign depends only on i mod 4: zero for odd i,
+negative for i = 2 (mod 4), positive for i = 0 (mod 4).
 """
 
 from __future__ import annotations
@@ -55,20 +57,22 @@ def kraw_column(k: int, n: int) -> list[int]:
     return col[1:]
 
 
-# Cached rows, keyed by (x, n).  2048 holds a full support (n + 1 rows)
-# for every n <= 1024, so one transform never evicts its own rows and a
-# run of transforms over one support reuses them all.
+# Cached rows, keyed by (x, n).  A transform asks only for x <= n/2, so
+# 2048 holds every row of a full support for every n <= 4095: one
+# transform never evicts its own rows, and a run of transforms over one
+# support reuses them all.
 @lru_cache(maxsize=2048)
 def kraw_row(x: int, n: int) -> tuple[int, ...]:
     """(P_j(x; n) for j in 0..n) via the three-term recurrence in the
     degree j:  (j + 1) P_{j+1}(x) = (n - 2x) P_j(x) - (n - j + 1) P_{j-1}(x),
-    from P_{-1} = 0 and P_0 = 1.
+    from P_{-1} = 0 and P_0 = 1, for j <= n/2 only; the degrees above
+    are the reflection P_{n-j}(x) = (-1)^x P_j(x).
 
     Every division is checked exact, as in kraw_column.
     """
     _check_kraw_args(0, x, n)
     row = [0, 1]
-    for j in range(n):
+    for j in range(n // 2):
         num = (n - 2 * x) * row[-1] - (n - j + 1) * row[-2]
         q, r = divmod(num, j + 1)
         if r:
@@ -76,7 +80,8 @@ def kraw_row(x: int, n: int) -> tuple[int, ...]:
                 f"inexact degree recurrence at x={x}, j={j}, n={n}: {num} / {j + 1}"
             )
         row.append(q)
-    return tuple(row[1:])
+    mirror = row[n - n // 2:0:-1]
+    return tuple(row[1:] + ([-v for v in mirror] if x & 1 else mirror))
 
 
 def _check_central_args(n: int, i: int = 0) -> None:

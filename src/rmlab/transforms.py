@@ -9,17 +9,19 @@ coset representative a (a not in A):
     d_j = 2^(K-n) sum_i (2 b_i - B_i) P_j(i;n)  (coset A + a)
 
 Both are evaluated by _transform purely in exact integers over the
-sparse supports, from one Krawtchouk row (P_j(i;n) for j = 0..n, by the
-recurrence in the degree) per support weight i, so a transform costs
-O(n |support|); every division by 2^(n-K) is checked exact and any
-remainder (or a negative entry) is reported as an inconsistency, never
-rounded.  macwilliams is the code's transform; the coset's is
+sparse supports, from one Krawtchouk row (P_j(i;n) for j = 0..n, by
+kraw_row) per pair of support weights {i, n-i}, since P_j(n-i;n) =
+(-1)^j P_j(i;n): O(n |support|), about half the big-integer work of
+one row per weight.  Every division by 2^(n-K) is checked exact and
+any remainder (or a negative entry) is reported as an inconsistency,
+never rounded.  macwilliams is the code's transform; the coset's is
 harness._dual_table's, whose Hadamard transform over syndromes gives
 each rep's 2 b_i - B_i at once.
 """
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 from .errors import ExactnessError, ParameterError
@@ -29,14 +31,22 @@ from .rmcodes import WeightDistribution
 
 def _transform(coeffs: list[tuple[int, int]], K: int, n: int, what: str) -> WeightDistribution:
     """sum_i c_i P_j(i;n) scaled by 2^(K-n), for j = 0..n, from one
-    Krawtchouk row per support weight i; checked exact and nonnegative
-    entry-wise, and checked to total 2^K.  K is validated by the caller."""
+    Krawtchouk row per support pair {i, n-i}: P_j(n-i;n) = (-1)^j P_j(i;n)
+    merges the pair's coefficients into c_i + c_{n-i} for even j and
+    c_i - c_{n-i} for odd j.  Checked exact and nonnegative entry-wise,
+    and checked to total 2^K.  K is validated by the caller."""
     shift = n - K
-    cs = [c for _, c in coeffs]
-    rows = [kraw_row(i, n) for i, _ in coeffs]
+    even: dict[int, int] = {}
+    odd: dict[int, int] = {}
+    for i, c in coeffs:
+        x = min(i, n - i)
+        even[x] = even.get(x, 0) + c
+        odd[x] = odd.get(x, 0) + (c if i == x else -c)
+    rows = [kraw_row(x, n) for x in even]
+    parity = [list(even.values()), list(odd.values())]
     pairs = []
     for j, column in enumerate(zip(*rows)):
-        s = sum(c * v for c, v in zip(cs, column))
+        s = sum(map(operator.mul, parity[j & 1], column))
         if s < 0:
             raise ExactnessError(f"{what}: negative entry at weight {j} (inconsistent input)")
         q, r = divmod(s, 1 << shift)

@@ -13,13 +13,15 @@ eliminated_pivots, the information set by Gaussian elimination.  So has
 the span walker: iter_span walks a span one Python int at a time.  And
 so have the censuses: coset_representatives lists one table per coset,
 and balanced_count_of_coset counts one coset's balanced words by its own
-walk of the code."""
+walk of the code.  The truth tables' own oracles live here as well:
+bit reads one position, and anf_from_tt, with anf_degree, gives the ANF
+whose degree decides rm_membership."""
 
 from functools import lru_cache
 
 from rmlab import _bitenum
 from rmlab._bitenum import SpanCounter
-from rmlab.bfcore import TruthTable
+from rmlab.bfcore import AnfMonomialSet, TruthTable, _mobius_bits
 from rmlab.errors import ParameterError
 from rmlab.harness import Scope, _build_rep, _capped_rep_basis
 from rmlab.krawtchouk import central_column, kraw_column
@@ -119,3 +121,30 @@ def balanced_gap(code: RMParams, rep: TruthTable) -> int:
     q, r = divmod(2 * sum((c - b[w]) * col[w] for w, c in B.pairs), 1 << (code.n - code.dimension))
     assert r == 0
     return q
+
+
+def bit(t: TruthTable, i: int) -> int:
+    """Value f(x) at table position i."""
+    if not 0 <= i < t.n:
+        raise ParameterError(f"position {i} out of range 0..{t.n - 1}")
+    return (t.bits >> (t.n - 1 - i)) & 1
+
+
+def anf_from_tt(t: TruthTable) -> AnfMonomialSet:
+    """ANF of a truth table via the fast Moebius transform."""
+    coef = _mobius_bits(t.bits, t.m)
+    n = t.n
+    monomials = []
+    while coef:
+        low = coef & -coef
+        u = n - 1 - (low.bit_length() - 1)  # point index of this coefficient
+        monomials.append(frozenset(j for j in range(1, t.m + 1) if (u >> (t.m - j)) & 1))
+        coef ^= low
+    return AnfMonomialSet(t.m, frozenset(monomials))
+
+
+def anf_degree(anf: AnfMonomialSet) -> int | None:
+    """Max monomial size; None for the zero function (no monomials)."""
+    if not anf.monomials:
+        return None
+    return max(len(s) for s in anf.monomials)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from coset_oracle import balanced_count_of_coset, coset_representatives, orthogonal_profile
+from coset_oracle import balanced_count_of_coset, bit, coset_representatives, orthogonal_profile
 from rmlab.bfcore import TruthTable, tt_from_anf, AnfMonomialSet
 from rmlab.harness import (
     Method,
@@ -192,7 +192,7 @@ def test_criterion_09_spectral_agreement():
         s = wht(f)
         for omega in range(8):
             direct = sum(
-                (-1) ** (f.bit(x) ^ (bin(x & omega).count("1") & 1)) for x in range(8)
+                (-1) ** (bit(f, x) ^ (bin(x & omega).count("1") & 1)) for x in range(8)
             )
             assert s.values[omega] == direct
         assert sum(v * v for v in s.values) == 1 << 6

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_oracle import anf_degree, anf_from_tt, bit
 from rmlab.bfcore import (
     AnfMonomialSet,
     TruthTable,
     _mobius_bits,
-    anf_from_tt,
     monomial_tt,
     tt_from_anf,
 )
@@ -36,7 +36,7 @@ def test_truth_table_hex_round_trip():
     t = TruthTable.from_hex(3, "03")
     assert t.bits == 3
     assert t.to_hex() == "03"
-    assert [t.bit(i) for i in range(8)] == [0, 0, 0, 0, 0, 0, 1, 1]
+    assert [bit(t, i) for i in range(8)] == [0, 0, 0, 0, 0, 0, 1, 1]
     assert TruthTable(4, 3).to_hex() == "0003"
     assert TruthTable.from_hex(4, "0003").bits == 3
 
@@ -69,7 +69,7 @@ def test_truth_table_validation():
     with pytest.raises(ParameterError):
         TruthTable(2, -1)
     with pytest.raises(ParameterError):
-        TruthTable(2, 0).bit(4)
+        bit(TruthTable(2, 0), 4)
 
 
 def test_variable_patterns():
@@ -108,12 +108,12 @@ def test_duplicate_monomials_are_refused():
 
 
 def test_anf_degree():
-    assert AnfMonomialSet.from_str(3, "0").degree is None
-    assert AnfMonomialSet.from_str(3, "1").degree == 0
-    assert AnfMonomialSet.from_str(3, "Y1Y2+Y3").degree == 2
-    assert anf_from_tt(TruthTable(3, 0)).degree is None
-    assert anf_from_tt(monomial_tt(3, [])).degree == 0
-    assert anf_from_tt(tt_from_anf(AnfMonomialSet.from_str(3, "Y1Y2"))).degree == 2
+    assert anf_degree(AnfMonomialSet.from_str(3, "0")) is None
+    assert anf_degree(AnfMonomialSet.from_str(3, "1")) == 0
+    assert anf_degree(AnfMonomialSet.from_str(3, "Y1Y2+Y3")) == 2
+    assert anf_degree(anf_from_tt(TruthTable(3, 0))) is None
+    assert anf_degree(anf_from_tt(monomial_tt(3, []))) == 0
+    assert anf_degree(anf_from_tt(tt_from_anf(AnfMonomialSet.from_str(3, "Y1Y2")))) == 2
 
 
 @settings(max_examples=150)
@@ -124,7 +124,7 @@ def test_tt_from_anf_matches_pointwise(data):
     t = tt_from_anf(anf)
     for idx in range(1 << m):
         coords = tuple((idx >> (m - j)) & 1 for j in range(1, m + 1))
-        assert t.bit(idx) == eval_anf_at_point(anf, coords)
+        assert bit(t, idx) == eval_anf_at_point(anf, coords)
 
 
 @settings(max_examples=150)
@@ -155,7 +155,7 @@ def test_linear_tt():
         # pointwise: x . omega
         for x in range(1 << m):
             dot = bin(x & idx).count("1") & 1
-            assert t.bit(x) == dot
+            assert bit(t, x) == dot
     assert tt_from_anf(linear_anf(3, 0)).bits == 0
 
 

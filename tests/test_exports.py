@@ -6,8 +6,6 @@ PACKAGE = ROOT / "src" / "rmlab"
 
 # Exports that nothing in the package or its scripts calls, one reason each.
 UNCALLED = {
-    # reference implementations the tests compare the fast paths against
-    "anf_from_tt": "the Moebius-transform ANF, whose degree is the oracle for rm_membership",
     # parts of the MacWilliams sign proof of theorem5 that verify is to run
     "sign_class": "the sign of each central Krawtchouk value",
     "is_doubly_even": "whether the dual's weights are all 0 mod 4",

@@ -51,6 +51,13 @@ def test_row_equals_direct_exhaustively():
         kraw_row(0, -1)
 
 
+@pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257])
+def test_row_mirror_equals_direct_past_64(n):
+    # the degrees above n/2 are mirrored, not recurred
+    for x in (0, 1, n // 2, n - 1, n):
+        assert list(kraw_row(x, n)) == [kraw_direct(j, x, n) for j in range(n + 1)], x
+
+
 def test_central_values():
     assert central_K(1, 8) == 0
     assert central_K(2, 8) == -10  # 7 K(2) = -1 * 70

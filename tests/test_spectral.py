@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_oracle import bit
 from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab import spectral
 from rmlab.errors import ExactnessError, ParameterError
@@ -37,7 +38,7 @@ def wht_definitional(f: TruthTable) -> list[int]:
         s = 0
         for x in range(n):
             dot = bin(x & omega).count("1") & 1
-            s += (-1) ** (f.bit(x) ^ dot)
+            s += (-1) ** (bit(f, x) ^ dot)
         out.append(s)
     return out
 
@@ -161,7 +162,7 @@ def test_involution_and_balance(data):
         v[:, 0, :] = top + v[:, 1, :]
         v[:, 1, :] = top - v[:, 1, :]
         h *= 2
-    signs = [1 - 2 * f.bit(i) for i in range(n)]
+    signs = [1 - 2 * bit(f, i) for i in range(n)]
     assert (arr // n).tolist() == signs
     assert (s.values[0] == 0) == (f.bits.bit_count() == n // 2)
 

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
-from coset_oracle import balanced_gap, coset_distribution, dense_transform, orthogonal_profile
-from rmlab import _bitenum
+from coset_oracle import balanced_gap, coset_distribution, dense_transform, iter_span, orthogonal_profile
+from rmlab import _bitenum, transforms
 from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import coset_weight_distribution
+from rmlab.krawtchouk import kraw_direct
 from rmlab.rmcodes import (
     RMParams,
     WeightDistribution,
@@ -15,7 +17,7 @@ from rmlab.rmcodes import (
     rm_membership,
     rm_weight_distribution,
 )
-from rmlab.transforms import hamming_closed_forms, macwilliams
+from rmlab.transforms import _transform, hamming_closed_forms, macwilliams
 
 
 def brute_coset_distribution(code: RMParams, rep: TruthTable) -> WeightDistribution:
@@ -214,3 +216,80 @@ def test_profile_cap():
     code = RMParams(1, 5)  # dual RM(3,5) has dimension 26
     with pytest.raises(CapExceededError, match=r"dual walk of RM\(1,5\) over RM\(3,5\) needs dimension 26"):
         coset_weight_distribution(code, TruthTable(5, 1), cap=4)
+
+
+def unfolded_transform(coeffs: list[tuple[int, int]], K: int, n: int, what: str) -> WeightDistribution:
+    """sum_x c_x P_j(x;n) for every j, each term from the defining sum,
+    with _transform's checks in its order and its messages."""
+    shift, pairs = n - K, []
+    for j in range(n + 1):
+        s = sum(c * kraw_direct(j, x, n) for x, c in coeffs)
+        if s < 0:
+            raise ExactnessError(f"{what}: negative entry at weight {j} (inconsistent input)")
+        q, r = divmod(s, 1 << shift)
+        if r:
+            raise ExactnessError(f"{what}: entry at weight {j} not divisible by 2^{shift}")
+        if q:
+            pairs.append((j, q))
+    out = WeightDistribution(n, tuple(pairs))
+    if out.total != 1 << K:
+        raise ExactnessError(f"{what}: output sums to {out.total}, expected 2^{K}")
+    return out
+
+
+def outcome(transform, coeffs, K, n):
+    """The transform's distribution, or its ExactnessError's message."""
+    try:
+        return transform(coeffs, K, n, "t")
+    except ExactnessError as e:
+        return str(e)
+
+
+def fold_cases(rng: random.Random, n: int):
+    """(coeffs, K) pairs over sparse supports at length n: the weights of
+    the span of a few random words (a dual's distribution when they are
+    independent), doubled, negated and nudged, and random coefficients on
+    a lone x > n/2, on x = n/2, and on pairs {x, n - x}."""
+    basis = [rng.getrandbits(n) for _ in range(rng.randrange(1, min(n, 5) + 1))]
+    valid = sorted(Counter(w.bit_count() for w in iter_span(basis)).items())
+    K = n - len(basis)
+    yield valid, K
+    yield [(x, 2 * c) for x, c in valid], K
+    yield [(x, -c) for x, c in valid], K
+    nudged = dict(valid)
+    nudged[rng.choice(list(nudged))] += rng.choice((-1, 1))
+    yield sorted(nudged.items()), K
+    for support in ([rng.randrange(n // 2 + 1, n + 1)], [n // 2], [x := rng.randrange(n // 2 + 1), n - x],
+                    [0, n // 2, n], rng.sample(range(n + 1), min(n + 1, 4))):
+        coeffs = [(x, rng.randrange(-3, 4) << rng.randrange(3)) for x in dict.fromkeys(support)]
+        yield coeffs, rng.randrange(max(0, n - 3), n + 1)
+
+
+def test_folded_transform_equals_unfolded_sum():
+    rng = random.Random(29)
+    kinds = set()
+    for n in range(1, 65):
+        for _ in range(3):
+            for coeffs, K in fold_cases(rng, n):
+                got = outcome(_transform, coeffs, K, n)
+                assert got == outcome(unfolded_transform, coeffs, K, n), (coeffs, K, n)
+                kinds.add(got.split(" ")[1] if isinstance(got, str) else "ok")
+    assert kinds == {"ok", "negative", "entry", "output"}
+
+
+def test_folded_transform_reads_only_rows_up_to_half(monkeypatch):
+    asked = []
+    row = transforms.kraw_row
+    monkeypatch.setattr(transforms, "kraw_row", lambda x, n: asked.append((x, n)) or row(x, n))
+    rng = random.Random(31)
+    for n in range(1, 65):
+        for coeffs, K in fold_cases(rng, n):
+            outcome(_transform, coeffs, K, n)
+    assert asked and all(2 * x <= n for x, n in asked)
+    for m in (3, 8):
+        code = RMParams(m - 2, m)
+        asked.clear()
+        B = rm_weight_distribution(dual_params(code))
+        assert B.support == (0, code.n // 2, code.n)
+        macwilliams(B, code.dimension, code.n)
+        assert asked == [(0, code.n), (code.n // 2, code.n)]
