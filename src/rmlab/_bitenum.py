@@ -10,9 +10,9 @@ is materialized once and the high basis vectors are folded in by
 Gray-code stepping, one XOR of the whole block per step.
 
 A span is queried for its weight histogram against one offset, or for
-the words of one weight against a batch of offsets (a census reads one
-weight for thousands of coset representatives) in numpy passes of about
-_PASS_WORDS words, with no histogram.
+its balanced counts (words of weight n/2) against a batch of offsets (a
+census reads them for thousands of coset representatives) in numpy
+passes of about _PASS_WORDS words, with no histogram.
 
 Two folds shrink the walk of a code.  Every RM(k,m) with k >= 0 holds
 the all-ones word, which maps a coset word of weight w to one of weight
@@ -116,10 +116,10 @@ class SpanCounter:
     word x it reaches stands for x and x XOR 1, of weight n - wt(x) and
     key key(x) XOR key(1).  The low basis tables are materialized once as
     one block of at most 2^_BLOCK_LOG2 table words (2^_BLOCK_LOG2 rows of
-    one word).  A query XORs an offset into that block in place and folds
-    the remaining basis tables in by Gray-code stepping, one block-wide
-    XOR plus a tally per step; before returning it XORs out whatever it
-    applied, so the block is the same for every query.
+    one word).  A walk folds the remaining basis tables into that block
+    by Gray-code stepping, one block-wide XOR plus a tally per step.  A
+    histogram XORs its offset into the block and out again before it
+    returns; balanced counts XOR each step's block with a batch of offsets.
 
     An unkeyed counter of one-word tables (2 <= n <= 32) may take the
     kernel fold instead.  Echelon rows with no bit in the high half span
@@ -178,7 +178,7 @@ class SpanCounter:
         """The quotient walk (keyed counter of the quotient rows' high halves,
         keyed by syndrome), the syndrome of each unit half-word, and D:
         weight j in column 2^s - 1 + j, zeros around it for the shifted
-        reads of _fold_counts, in a dtype that holds two entries' sum."""
+        reads of _fold_counts, in the smallest dtype that holds its entries."""
         (quotient, kernel), half = self._echelon, self.n // 2
         free = [i for i in range(half) if all(b.bit_length() != i + 1 for b in kernel)]  # bits leading no row
 
@@ -196,7 +196,7 @@ class SpanCounter:
         table = table.reshape(-1, half + 1) << len(self._basis) - len(quotient) - len(kernel)
         pad = (1 << (half + 1).bit_length()) - 1
         table = np.pad(table, ((0, 0), (pad, self.n - half)))
-        return walk, units, table.astype(np.min_scalar_type(2 * table.max()))
+        return walk, units, table.astype(np.min_scalar_type(table.max()))
 
     def weight_histogram(self, offset: int = 0) -> np.ndarray:
         """Weight histogram (length n+1) of {offset XOR span(basis)}; with
@@ -210,31 +210,24 @@ class SpanCounter:
             self._add_complements(hist)
         return hist if self._key_bits else hist[0]
 
-    def weight_counts(self, offsets: np.ndarray, weight: int) -> np.ndarray:
-        """Number of words of the given weight in {offset XOR span(basis)}
+    def balanced_counts(self, offsets: np.ndarray) -> np.ndarray:
+        """Number of words of weight n/2 (n even) in {offset XOR span(basis)}
         for each row offset of a _to_words matrix (keys play no part).
 
         A pass XORs as many offsets against the block as fit in
-        _PASS_WORDS words.  A block that fills a pass alone takes one
-        offset at a time, XORed into it in place: a batched pass would
-        copy the whole block at every step.
-
-        With the all-ones table folded out, the walk counts the words of
-        weight `weight` or n - weight, and doubles the count when the two
-        are equal."""
+        _PASS_WORDS words, and at least one.  With the all-ones table
+        folded out, each balanced word walked stands for itself and its
+        complement, balanced too, so the walk's count doubles."""
         if offsets.ndim != 2 or offsets.shape[1] != self._nwords:
             raise ParameterError(f"offsets of shape {offsets.shape} are not rows of {self._nwords} words")
-        scale = 2 if self._ones_key is not None and 2 * weight == self.n else 1
+        scale = 2 if self._ones_key is not None else 1
         if self._folds(len(offsets)):
-            return scale * self._fold_counts(offsets, weight)
-        per_pass = _PASS_WORDS // self._block.size
-        if per_pass <= 1:
-            count = partial(self._count_block, weight=weight)
-            return scale * np.array([self._walk(offset, count) for offset in offsets], dtype=np.int64)
+            return scale * self._fold_counts(offsets)
+        per_pass = max(1, _PASS_WORDS // self._block.size)
         counts = np.zeros(len(offsets), dtype=np.int64)
         for a in range(0, len(offsets), per_pass):
             part = offsets[a : a + per_pass]
-            counts[a : a + len(part)] = self._walk(0, partial(self._count, offsets=part, weight=weight))
+            counts[a : a + len(part)] = self._walk(0, partial(self._count, offsets=part))
         return scale * counts
 
     def _walk(self, offset: np.ndarray | int, tally: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -267,13 +260,14 @@ class SpanCounter:
         pairs = pairs.T @ table[np.arange(len(table)) ^ syn, pad : pad + half + 1]  # [high weight, low weight]
         return np.array([[np.trace(pairs[::-1], j - half) for j in range(self.n + 1)]])
 
-    def _fold_counts(self, offsets: np.ndarray, weight: int) -> np.ndarray:
-        """weight_counts by the kernel fold: the quotient word x XOR t reads
-        D[syndrome, weight - high weight].  A pass reads _PASS_WORDS / 8
+    def _fold_counts(self, offsets: np.ndarray) -> np.ndarray:
+        """balanced_counts by the kernel fold: the quotient word x XOR t reads
+        D[syndrome, n/2 - high weight].  A pass reads _PASS_WORDS / 8
         words at about 20 bytes each, less than a full walk's pass holds."""
-        (walk, units, table), (half, ones) = self._fold, (self.n // 2, self._ones_key is not None)
+        (walk, units, table), half = self._fold, self.n // 2
         s = (half + 1).bit_length()  # a flat index of 2^s weight columns: (syndrome << s) + weight
-        wanted = sum(table[:, w : w + (1 << s)][:, ::-1] for w in {weight, self.n - weight if ones else weight})
+        # a contiguous copy: take() would copy a reversed view at every step
+        wanted = table[:, half : half + (1 << s)][:, ::-1].copy()
         his, syns = offsets >> half, span_rows(units, self.n, offsets[:, 0] % (1 << half)) << s
         per_pass = max(1, _PASS_WORDS // 8 // len(walk._block))
         counts = np.zeros(len(offsets), dtype=np.int64)
@@ -308,22 +302,10 @@ class SpanCounter:
                 chunks[c] += chunks[d][flip][..., ::-1]
                 chunks[d] = chunks[c][flip][..., ::-1]
 
-    def _hits(self, words: np.ndarray, weight: int) -> np.ndarray:
-        """Rows of the given weight, or with the all-ones table folded out,
-        of weight n - weight."""
-        weights = _popcount_rows(words)
-        hits = weights == weight
-        if self._ones_key is not None and 2 * weight != self.n:
-            hits |= weights == self.n - weight
-        return hits
-
-    def _count_block(self, block: np.ndarray, weight: int) -> int:
-        return np.count_nonzero(self._hits(block[:, : self._nwords], weight))
-
-    def _count(self, block: np.ndarray, offsets: np.ndarray, weight: int) -> np.ndarray:
-        """Rows that _hits matches in the block XORed with each offset row."""
+    def _count(self, block: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Balanced rows of the block XORed with each offset row."""
         words = block[None, :, : self._nwords] ^ offsets[:, None, :]
         # count_nonzero along an axis costs several times more than a
         # popcount of the matches packed eight to a byte
-        matches = np.packbits(self._hits(words, weight), axis=-1)
+        matches = np.packbits(_popcount_rows(words) == self.n // 2, axis=-1)
         return _popcount_rows(matches).astype(np.int64)

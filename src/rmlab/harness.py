@@ -42,7 +42,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -261,7 +261,7 @@ def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[in
     """Balanced counts for rep ids start..stop-1 (id 0 is the code itself),
     from a walker built from the parameters, so it runs in any process."""
     reps = _bitenum.span_rows(_rep_basis(code, scope), code.n, np.arange(start, stop))
-    return code_counter(code).weight_counts(reps, code.n // 2).tolist()
+    return code_counter(code).balanced_counts(reps).tolist()
 
 
 # A census log is the header "census <format version 1> <k> <m> <scope>
@@ -396,7 +396,7 @@ def _dual_table(
     in size.  Every rep but id 0's lies outside the code, so half the dual
     is orthogonal to it (all of it at id 0): F_g sums to 0 over w (to
     2^dim(dual) at g = 0), as checked.  Returns each id's distinct column
-    of F and a cached contraction."""
+    of F and the contraction of a column."""
     r, n, dual = len(basis), code.n, dual_params(code)
     require_cap(dual.dimension, cap, f"dual walk of {code} over {dual}")
     _bitenum.check_key_bits(r, n, "syndromes")
@@ -415,7 +415,6 @@ def _dual_table(
                              f"are not {'all' if g == 0 else 'half'} of the 2^{dual.dimension}")
     columns, ids = np.unique(spectra.T, axis=0, return_inverse=True)
 
-    @lru_cache(maxsize=None)
     def distribution(i: int) -> WeightDistribution:
         coeffs = [(w, c) for w, c in zip(weights, columns[i].tolist()) if c]
         return transforms._transform(coeffs, code.dimension, n, f"dual table of {code}")
@@ -425,12 +424,13 @@ def _dual_table(
 
 def _dual_census(
     code: RMParams, scope: Scope, cap: int | None = None, coset_cap: int | None = None
-) -> tuple[CosetCensus, Callable[[int], WeightDistribution]]:
+) -> tuple[CosetCensus, list[WeightDistribution]]:
     """The census read from the dual table, one balanced count per distinct
     column, and the table's distribution of each class."""
     ids, distribution = _dual_table(code, _capped_rep_basis(code, scope, coset_cap), cap)
-    central = tuple(distribution(i)[code.n // 2] for i in range(int(ids.max()) + 1))
-    return _checked_census(code, scope, ids, central, cap), distribution
+    distributions = [distribution(i) for i in range(int(ids.max()) + 1)]
+    central = tuple(d[code.n // 2] for d in distributions)
+    return _checked_census(code, scope, ids, central, cap), distributions
 
 
 def _strict_max(claim, params, mode, method, census: CosetCensus, t0) -> Verdict:
@@ -585,12 +585,12 @@ def verify_oddweight_cosets(m: int, cap: int | None = None, coset_cap: int | Non
     t0 = time.monotonic()
     if m < 2:
         raise ParameterError(f"odd-weight coset check needs m >= 2, got {m}")
-    census, distribution = _dual_census(RMParams(m - 2, m), Scope.FULL_SPACE, cap, coset_cap)
+    census, distributions = _dual_census(RMParams(m - 2, m), Scope.FULL_SPACE, cap, coset_cap)
     # the rep basis is unit tables, so rep g has weight popcount(g)
     odd = np.flatnonzero(np.bitwise_count(np.arange(len(census.classes))) & 1)
     max_other = max(census.counts[c] for c in set(census.classes[odd].tolist()))
     # a balanced word has the even weight n/2, so one even weight is enough
-    even = [any(w % 2 == 0 for w in distribution(c).support) for c in range(len(census.counts))]
+    even = [any(w % 2 == 0 for w in d.support) for d in distributions]
     return _verdict("oddweight", {"m": m}, Mode.EXHAUSTIVE, Method.BRUTE,
                     census.code_balanced_count, max_other, census.witness(even, odd), t0)
 

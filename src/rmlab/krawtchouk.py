@@ -5,17 +5,17 @@ b > a as math.comb gives it, evaluated at integer arguments
 0 <= x <= n, always in exact integer arithmetic: a column
 (fixed k, every x) by the recurrence in x, a row (fixed x, every k) by
 the recurrence in k up to n/2 and the reflection P_{n-k}(x; n) =
-(-1)^x P_k(x; n) above it (MacWilliams & Sloane, ch. 5 sec. 7).  The
-central value K(i, n) = P_{n/2}(i; n) (n even), the column of degree
-n/2, drives the balanced-weight entry of every coset weight
-distribution, and its sign depends only on i mod 4: zero for odd i,
-negative for i = 2 (mod 4), positive for i = 0 (mod 4).
+(-1)^x P_k(x; n) above it (MacWilliams & Sloane, ch. 5 sec. 7); rows
+are built per transform and never cached, so a run holds no more rows
+than its largest transform.  The central value K(i, n) = P_{n/2}(i; n)
+(n even), the column of degree n/2, drives the balanced-weight entry of
+every coset weight distribution, and its sign depends only on i mod 4:
+zero for odd i, negative for i = 2 (mod 4), positive for i = 0 (mod 4).
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from math import comb
 
 from .errors import ExactnessError, ParameterError
@@ -57,11 +57,6 @@ def kraw_column(k: int, n: int) -> list[int]:
     return col[1:]
 
 
-# Cached rows, keyed by (x, n).  A transform asks only for x <= n/2, so
-# 2048 holds every row of a full support for every n <= 4095: one
-# transform never evicts its own rows, and a run of transforms over one
-# support reuses them all.
-@lru_cache(maxsize=2048)
 def kraw_row(x: int, n: int) -> tuple[int, ...]:
     """(P_j(x; n) for j in 0..n) via the three-term recurrence in the
     degree j:  (j + 1) P_{j+1}(x) = (n - 2x) P_j(x) - (n - j + 1) P_{j-1}(x),

@@ -55,7 +55,7 @@ def balanced_count_of_coset(code: RMParams, rep: TruthTable, cap: int | None = N
     if rep.m != code.m:
         raise ParameterError(f"rep has m={rep.m}, code has m={code.m}")
     require_cap(code.dimension, cap, f"counting balanced words in a coset of {code}")
-    return int(code_counter(code).weight_counts(_bitenum._to_words([rep.bits], code.n), code.n // 2)[0])
+    return int(code_counter(code).balanced_counts(_bitenum._to_words([rep.bits], code.n))[0])
 
 
 def span_distribution(basis: list[int], n: int) -> WeightDistribution:

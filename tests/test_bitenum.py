@@ -117,7 +117,7 @@ def test_multi_bit_keys_match_oracle(monkeypatch, block_log2, n):
                 expected = oracle_histogram(basis, n, offset, keys, key_bits)
                 check_walk(counter, offset, expected)
                 # the batched count reads every span word, whatever its key
-                counts = counter.weight_counts(_bitenum._to_words([offset], n), n // 2)
+                counts = counter.balanced_counts(_bitenum._to_words([offset], n))
                 assert counts.tolist() == [sum(row[n // 2] for row in expected)]
 
 
@@ -209,9 +209,10 @@ def count_oracle(basis, n, offset):
 @pytest.mark.parametrize("block_log2", [0, 2, None])
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
 def test_weight_counts_match_oracle(monkeypatch, n, block_log2, pass_words):
-    # small blocks force the Gray fold; small passes split the 7 offsets
-    # into passes of several offsets and a remainder, or, where the block
-    # fills a pass alone, take them one at a time into the block in place
+    # balanced counts: small blocks force the Gray fold; small passes split
+    # the 7 offsets into passes of several offsets and a remainder, and a
+    # one-word pass drives the batched pass one offset at a time through
+    # the Gray steps of a block that fills it alone
     if block_log2 is not None:
         monkeypatch.setattr(_bitenum, "_BLOCK_LOG2", block_log2)
     if pass_words is not None:
@@ -223,15 +224,14 @@ def test_weight_counts_match_oracle(monkeypatch, n, block_log2, pass_words):
         block = counter._block.copy()
         offsets = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]
         words = _bitenum._to_words(offsets, n)
-        expected = [count_oracle(basis, n, offset) for offset in offsets]
-        for w in range(n + 1):
-            assert counter.weight_counts(words, w).tolist() == [e[w] for e in expected]
-            assert np.array_equal(counter._block, block)
-        assert counter.weight_counts(words[:0], n // 2).tolist() == []
+        expected = [count_oracle(basis, n, offset)[n // 2] for offset in offsets]
+        assert counter.balanced_counts(words).tolist() == expected
+        assert np.array_equal(counter._block, block)
+        assert counter.balanced_counts(words[:0]).tolist() == []
     # a row of the wrong width would broadcast into a wrong count
     for bad in (np.hstack((words, words)), words[0]):
         with pytest.raises(ParameterError, match="not rows of"):
-            counter.weight_counts(bad, n // 2)
+            counter.balanced_counts(bad)
 
 
 def bases_with_ones(rng, n):
@@ -274,10 +274,9 @@ def test_all_ones_fold_matches_oracles(monkeypatch, n, block_log2, pass_words):
                 check_walk(counter, offset, expected if key_bits else expected[0])
             block = counter._block.copy()
             words = _bitenum._to_words(offsets, n)
-            expected = [count_oracle(basis, n, offset) for offset in offsets]
-            for w in range(n + 1):
-                assert counter.weight_counts(words, w).tolist() == [e[w] for e in expected], w
-                assert np.array_equal(counter._block, block)
+            expected = [count_oracle(basis, n, offset)[n // 2] for offset in offsets]
+            assert counter.balanced_counts(words).tolist() == expected
+            assert np.array_equal(counter._block, block)
 
 
 def test_code_walk_folds_out_the_constant():
@@ -396,13 +395,12 @@ def force_fold(monkeypatch):
 
 
 def check_fold(counter, n, offsets, expected):
-    """Histograms at each offset and counts at every weight against the
-    expected histograms, the queries leaving the full block unbuilt."""
+    """Histograms and balanced counts at each offset against the expected
+    histograms, the queries leaving the full block unbuilt."""
     for offset, e in zip(offsets, expected):
         assert counter.weight_histogram(offset).tolist() == e, offset
     words = _bitenum._to_words(offsets, n)
-    for w in range(n + 1):
-        assert counter.weight_counts(words, w).tolist() == [e[w] for e in expected], w
+    assert counter.balanced_counts(words).tolist() == [e[n // 2] for e in expected]
     assert "_block" not in vars(counter)
 
 
@@ -540,7 +538,7 @@ def test_folded_census_pass_holds_no_more_than_a_full_pass(monkeypatch):
     offsets = _bitenum._to_words([rng.getrandbits(32) for _ in range(4096)], 32)
     folded, full = code_counter(RMParams(2, 5)), code_counter(RMParams(2, 5))
     assert folded._fold and full._block.size  # built before tracing
-    fold_peak = traced_peak(lambda: folded.weight_counts(offsets, 16))
+    fold_peak = traced_peak(lambda: folded.balanced_counts(offsets))
     monkeypatch.setattr(_bitenum.SpanCounter, "_folds", lambda self, offsets: False)
-    full_peak = traced_peak(lambda: full.weight_counts(offsets, 16))
+    full_peak = traced_peak(lambda: full.balanced_counts(offsets))
     assert fold_peak <= full_peak

@@ -232,6 +232,31 @@ def test_census_workers_must_be_positive():
             census_balanced(RMParams(1, 3), Scope.FULL_SPACE, workers=workers)
 
 
+def test_default_caps_fold_every_census_span_above_one_pass():
+    # a census chunk XORs its offsets against the code's block in passes
+    # of _PASS_WORDS words; a block above half a pass holds one offset a
+    # pass, copied whole at every Gray step.  Under the default caps only
+    # RM(3,5)'s 2^25-word span is that large, and its chunks of 64 and 32
+    # offsets take the kernel fold instead
+    big = []
+    for m in range(1, 12):
+        for k, scope in itertools.product(range(-1, m + 1), Scope):
+            code = RMParams(k, m)
+            if scope is Scope.WITHIN_NEXT_ORDER and k == m:
+                continue
+            try:
+                ids = 1 << len(harness._capped_rep_basis(code, scope, None))
+                rmcodes.require_cap(code.dimension, None, "census")
+            except CapExceededError:
+                continue
+            counter = rmcodes.code_counter(code)
+            if counter._nwords << len(counter._basis) > harness._bitenum._PASS_WORDS // 2:
+                big.append((k, m, scope))
+                chunks = {min(ids, harness._CHECKPOINT_CHUNK), ids % harness._CHECKPOINT_CHUNK} - {0}
+                assert all(counter._folds(offsets) for offsets in chunks), (k, m, scope)
+    assert big == [(3, 5, Scope.FULL_SPACE), (3, 5, Scope.WITHIN_NEXT_ORDER)]
+
+
 def chunk_line(start, body):
     """A census log chunk line whose CRC-32 matches its counts text."""
     return f"{start} {zlib.crc32(body.encode()):08x} {body}\n"
@@ -363,10 +388,10 @@ def brute_census_pairs():
 @pytest.mark.parametrize("k,m,scope", list(brute_census_pairs()))
 def test_dual_census_equals_brute_census(k, m, scope):
     code = RMParams(k, m)
-    census, distribution = harness._dual_census(code, scope)
+    census, distributions = harness._dual_census(code, scope)
     assert census == census_balanced(code, scope)
     # the distribution of each class has the class's balanced count
-    assert [distribution(c)[code.n // 2] for c in range(len(census.counts))] == list(census.counts)
+    assert [d[code.n // 2] for d in distributions] == list(census.counts)
 
 
 @pytest.mark.parametrize("k,m,scope", list(brute_census_pairs()))

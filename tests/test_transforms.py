@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from coset_oracle import balanced_gap, coset_distribution, dense_transform, iter_span, orthogonal_profile
-from rmlab import _bitenum, transforms
+from rmlab import _bitenum, krawtchouk, transforms
 from rmlab.bfcore import AnfMonomialSet, TruthTable, tt_from_anf
 from rmlab.errors import CapExceededError, ExactnessError, ParameterError
 from rmlab.harness import coset_weight_distribution
@@ -293,3 +294,18 @@ def test_folded_transform_reads_only_rows_up_to_half(monkeypatch):
         assert B.support == (0, code.n // 2, code.n)
         macwilliams(B, code.dimension, code.n)
         assert asked == [(0, code.n), (code.n // 2, code.n)]
+
+
+def test_macwilliams_leaves_no_rows_resident():
+    # RM(10,12) from RM(1,12)'s distribution builds the rows x = 0 and
+    # x = 2048 of n = 4096, about 1.1 MB of big integers, and keeps
+    # neither; only what krawtchouk allocated is read, since freed
+    # tuples stay on CPython's free lists
+    B = rm_weight_distribution(RMParams(1, 12))
+    tracemalloc.start()
+    try:
+        macwilliams(B, RMParams(10, 12).dimension, 4096)
+        rows = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, krawtchouk.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert sum(stat.size for stat in rows.statistics("filename")) < 100_000
