@@ -19,11 +19,11 @@ Each coset-family verdict reads a sum-checked census and takes its
 witness from one scan of it (CosetCensus.witness): theorem5, conjecture
 and exhaustive rm1 a strict maximum (_strict_max), oddweight an even
 weight among the odd-weight cosets, equidist a second distribution.
-Brute censuses walk the code's span once per chunk of rep ids, counting
-every rep of the chunk in batched numpy passes; chunks shard
-deterministically across worker processes, whose pool is imported only
-for more than one worker, and can resume from an append-only,
-checksummed checkpoint log.  Sampled rm1 draws its tables
+A brute census builds one counter of the code's span, which walks it once
+per chunk of rep ids, counting the chunk's reps in batched numpy passes;
+chunks shard deterministically across worker processes, whose pool is
+imported only for more than one worker, and can resume from an
+append-only, checksummed checkpoint log.  Sampled rm1 draws its tables
 in the calling thread and counts batches of them on one thread per
 usable core, reading the counts in draw order.  Exhaustive rm1's census is
 spectral; theorem5's transform method, oddweight, equidist and the
@@ -42,7 +42,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -257,13 +257,6 @@ class CosetCensus:
             yield (rows[rows != 0] if ragged else rows).tobytes().decode()
 
 
-def _count_chunk(code: RMParams, scope: Scope, start: int, stop: int) -> list[int]:
-    """Balanced counts for rep ids start..stop-1 (id 0 is the code itself),
-    from a walker built from the parameters, so it runs in any process."""
-    reps = _bitenum.span_rows(_rep_basis(code, scope), code.n, np.arange(start, stop))
-    return code_counter(code).balanced_counts(reps).tolist()
-
-
 # A census log is the header "census <format version 1> <k> <m> <scope>
 # <cosets>", then one line per finished chunk: "<start id> <CRC-32 of the
 # counts text, 8 hex digits> <counts...>".  No id or count of a census that
@@ -327,10 +320,11 @@ def census_balanced(
     checkpoint: str | None = None,
 ) -> CosetCensus:
     """Balanced-word count of every nontrivial coset in scope, plus the
-    code's own count (rep id 0).  Work is split into rep-id chunks, run in
-    order or by a process pool; the merge is by id order, so the result
-    is identical for any worker count.  A checkpoint log gets one line
-    per finished chunk, and a rerun resumes after its last verified one."""
+    code's own count (rep id 0).  One counter counts the rep rows of each
+    rep-id chunk, in order or by a process pool that gets a copy of it
+    with each chunk; the merge is by id order, so the result is identical
+    for any worker count.  A checkpoint log gets one line per finished
+    chunk, and a rerun resumes after its last verified one."""
     require_workers(workers)
     basis = _capped_rep_basis(code, scope, coset_cap)
     require_cap(code.dimension, cap, f"balanced census of {code}")
@@ -346,15 +340,15 @@ def census_balanced(
         _save_checkpoint(checkpoint, header)
 
     starts = range(len(counts), ids, _CHECKPOINT_CHUNK)
-    stops = [min(a + _CHECKPOINT_CHUNK, ids) for a in starts]
-    chunk = partial(_count_chunk, code, scope)
+    rows = (_bitenum.span_rows(basis, code.n, np.arange(a, min(a + _CHECKPOINT_CHUNK, ids))) for a in starts)
+    counter = code_counter(code)
     if workers > 1:  # the process pool loads multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for a, part in zip(starts, (pool.map if pool else map)(chunk, starts, stops)):
-            counts.extend(part)
+        for a, part in zip(starts, (pool.map if pool else map)(counter.balanced_counts, rows)):
+            counts.extend(part.tolist())
             if checkpoint:
-                body = " ".join(map(str, part))
+                body = " ".join(map(str, part.tolist()))
                 _save_checkpoint(checkpoint, f"{a} {zlib.crc32(body.encode()):08x} {body}\n")
 
     return _counted_census(code, scope, np.array(counts, dtype=np.int64), cap)
@@ -511,10 +505,9 @@ def verify_rm1_proposition(
 ) -> Verdict:
     """Every nontrivial coset of RM(1,m) has fewer than 2^(m+1)-2
     balanced words.  Exhaustive (m <= 4): the strict-maximum census of
-    spectral counts, checked against the brute one at m <= 3.  Sampled
-    (m <= 16): seeded random non-affine representatives, in batches
-    counted on one thread per usable core; the verdict is the same at
-    every core count."""
+    spectral counts.  Sampled (m <= 16): seeded random non-affine
+    representatives, in batches counted on one thread per usable core;
+    the verdict is the same at every core count."""
     t0 = time.monotonic()
     if exhaustive is None:
         exhaustive = m <= 4
@@ -527,11 +520,6 @@ def verify_rm1_proposition(
         reps = [_build_rep(basis, g) for g in range(1 << len(basis))]
         counts = _rm1_counts(reps, m)[0]
         census = _counted_census(code, Scope.FULL_SPACE, counts, None)
-        if m <= 3:
-            brute = census_balanced(code, Scope.FULL_SPACE)
-            bad = np.flatnonzero(np.array(brute.id_counts()) != counts)
-            if len(bad):
-                raise ExactnessError(f"spectral/brute disagreement at rep {TruthTable(m, reps[bad[0]]).to_hex()}")
         return _strict_max("rm1", {"m": m}, Mode.EXHAUSTIVE, Method.SPECTRAL, census, t0)
 
     bound = (1 << (m + 1)) - 2

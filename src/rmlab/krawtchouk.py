@@ -87,10 +87,16 @@ def _check_central_args(n: int, i: int = 0) -> None:
 
 
 def central_K(i: int, n: int) -> int:
-    """K(i, n) = P_{n/2}(i; n) for even n; n and i are checked before
-    the column is built."""
+    """K(i, n) = P_{n/2}(i; n) for even n, once n and i are checked, in
+    closed form: 0 at odd i, (-1)^(i/2) C(n, n/2) C(n/2, i/2) / C(n, i)
+    at even i, the division checked exact."""
     _check_central_args(n, i)
-    return kraw_column(n // 2, n)[i]
+    if i % 2:
+        return 0
+    q, r = divmod(comb(n, n // 2) * comb(n // 2, i // 2), comb(n, i))
+    if r:
+        raise ExactnessError(f"inexact closed form of K(i, n) at i={i}, n={n}")
+    return -q if i // 2 % 2 else q
 
 
 def central_column(n: int) -> list[int]:

@@ -219,11 +219,33 @@ def test_census_brute_agrees_with_transform_distribution():
         assert d[code.n // 2] == count
 
 
-def test_census_workers_match_serial():
+@pytest.mark.parametrize("logged", [False, True])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_census_workers_match_serial(tmp_path, monkeypatch, chunk, logged):
+    # RM(1,4)'s 2,048 ids are one chunk by default; in chunks of 7 the
+    # pool counts 293 chunks, which are merged (and logged) in id order
+    if chunk:
+        monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", chunk)
     code = RMParams(1, 4)
-    serial = census_balanced(code, Scope.FULL_SPACE)
-    parallel = census_balanced(code, Scope.FULL_SPACE, workers=2)
+    logs = [tmp_path / f"census-{workers}.log" for workers in (1, 2)]
+    serial = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(logs[0]) if logged else None)
+    parallel = census_balanced(code, Scope.FULL_SPACE, workers=2, checkpoint=str(logs[1]) if logged else None)
     assert serial == parallel
+    assert not logged or logs[0].read_text() == logs[1].read_text()
+
+
+def test_one_worker_census_builds_one_counter(monkeypatch):
+    # RM(2,5)'s full space is 16 chunks of ids, all counted by one counter
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return rmcodes.code_counter(*args)
+
+    monkeypatch.setattr(harness, "code_counter", spy)
+    census = census_balanced(RMParams(2, 5), Scope.FULL_SPACE)
+    assert len(census.classes) == 16 * harness._CHECKPOINT_CHUNK
+    assert built == [(RMParams(2, 5),)]
 
 
 def test_census_workers_must_be_positive():
@@ -292,10 +314,10 @@ def test_complete_log_runs_no_chunk(tmp_path, monkeypatch):
     path = str(tmp_path / "census.log")
     fresh = census_balanced(code, Scope.FULL_SPACE, checkpoint=path)
 
-    def no_chunk(*args):
-        raise AssertionError(f"a complete log reran chunk {args}")
+    def no_count(self, offsets):
+        raise AssertionError(f"a complete log recounted {len(offsets)} reps")
 
-    monkeypatch.setattr(harness, "_count_chunk", no_chunk)
+    monkeypatch.setattr(SpanCounter, "balanced_counts", no_count)
     for workers in (1, 2):
         assert census_balanced(code, Scope.FULL_SPACE, workers, checkpoint=path) == fresh
 
@@ -499,8 +521,8 @@ def test_theorem5_transform_counts_past_int64():
 
 def test_brute_census_refuses_counts_past_int64(monkeypatch):
     # RM(5,6) has dimension 63, so a count may not fit int64; refused
-    # before any chunk is walked, even with the enumeration cap raised
-    monkeypatch.setattr(harness, "_count_chunk", None)
+    # before any counter is built, even with the enumeration cap raised
+    monkeypatch.setattr(harness, "code_counter", None)
     with pytest.raises(ExactnessError, match=r"RM\(5,6\) may pass 2\^62"):
         census_balanced(RMParams(5, 6), Scope.FULL_SPACE, cap=63)
     with pytest.raises(ExactnessError, match="2\\^62"):
@@ -612,19 +634,26 @@ def shifted_rm1_counts(monkeypatch, shifts):
     monkeypatch.setattr(harness, "_rm1_counts", shifted)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_exhaustive_rm1_census_equals_the_brute_census(monkeypatch, m):
+    # the brute census is the oracle of the spectral one at every m
+    censuses = []
+    real = harness._strict_max
+
+    def spy(*args):
+        censuses.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_strict_max", spy)
+    verify_rm1_proposition(m, exhaustive=True)
+    assert censuses == [census_balanced(RMParams(1, m), Scope.FULL_SPACE)]
+
+
 def test_exhaustive_rm1_checks_its_census_sum(monkeypatch):
-    # m = 4 has no brute cross-check: only the C(16,8) sum catches this
+    # the run has no brute cross-check: only the C(16,8) sum catches this
     shifted_rm1_counts(monkeypatch, {1000: 2})
     with pytest.raises(ExactnessError, match=r"sum to 12872, not C\(16,8\) = 12870"):
         verify_rm1_proposition(4, exhaustive=True)
-
-
-def test_exhaustive_rm1_names_the_first_rep_the_brute_census_disagrees_on(monkeypatch):
-    # the sum is kept, so only the brute cross-check sees it
-    shifted_rm1_counts(monkeypatch, {9: 2, 5: -2})
-    first = census_balanced(RMParams(1, 3), Scope.FULL_SPACE).rep_table(5).to_hex()
-    with pytest.raises(ExactnessError, match=f"spectral/brute disagreement at rep {first}$"):
-        verify_rm1_proposition(3, exhaustive=True)
 
 
 @pytest.mark.parametrize(

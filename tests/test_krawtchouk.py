@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab import krawtchouk
-from rmlab.errors import ParameterError
+from rmlab.errors import ExactnessError, ParameterError
 from rmlab.krawtchouk import (
     SignClass,
     central_K,
@@ -75,9 +75,26 @@ def test_central_K_checks_i_before_it_builds_the_column(monkeypatch, i):
     def no_column(k, n):
         raise AssertionError(f"built the degree-{k} column for n={n}")
 
+    def no_comb(a, b):
+        raise AssertionError(f"computed C({a},{b})")
+
     monkeypatch.setattr(krawtchouk, "kraw_column", no_column)
+    monkeypatch.setattr(krawtchouk, "comb", no_comb)
     with pytest.raises(ParameterError, match="argument i must be in 0..n"):
         central_K(i, 100_000)
+
+
+def test_central_K_closed_form_equals_the_column():
+    # the closed form against the recurrence, at every argument
+    for n in [*range(2, 129, 2), 4096]:
+        assert [central_K(i, n) for i in range(n + 1)] == kraw_column(n // 2, n), n
+
+
+def test_central_K_refuses_an_inexact_quotient(monkeypatch):
+    # C(8,2) = 28 made 29 leaves C(8,4) C(4,1) / 29 = 280 / 29 inexact
+    monkeypatch.setattr(krawtchouk, "comb", lambda a, b: comb(a, b) + ((a, b) == (8, 2)))
+    with pytest.raises(ExactnessError, match=r"K\(i, n\) at i=2, n=8"):
+        central_K(2, 8)
 
 
 def test_central_column_equals_half_degree_column():
