@@ -24,7 +24,6 @@ from .harness import (
     Scope,
     census_balanced,
     coset_weight_distribution,
-    require_workers,
     require_writable,
     verify_hamming_coset_equidistribution,
     verify_oddweight_cosets,
@@ -138,16 +137,11 @@ def _cmd_wht(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    require_workers(args.workers)
     if args.claim == "theorem5":
-        verdict = verify_theorem_basic(
-            args.k, args.m, Method(args.method), args.workers,
-            args.cap, args.coset_cap, args.checkpoint,
-        )
+        verdict = verify_theorem_basic(args.k, args.m, Method(args.method),
+                                       args.cap, args.coset_cap, args.checkpoint)
     elif args.claim == "conjecture":
-        verdict = verify_quotient_conjecture(
-            args.k, args.m, args.workers, args.cap, args.coset_cap, args.checkpoint
-        )
+        verdict = verify_quotient_conjecture(args.k, args.m, args.cap, args.coset_cap, args.checkpoint)
     elif args.claim == "rm1":
         if args.exhaustive and args.sampled:
             raise ParameterError("--exhaustive and --sampled are mutually exclusive")
@@ -166,7 +160,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     code = RMParams(args.k, args.m)
     scope = Scope(args.scope)
-    census = census_balanced(code, scope, args.workers, args.cap, args.coset_cap, args.checkpoint)
+    census = census_balanced(code, scope, args.cap, args.coset_cap, args.checkpoint)
     # rows are written a chunk at a time: a census output can be gigabytes
     counts = [str(c) for c in census.counts]
     with _open_output(args.output) as out:
@@ -209,7 +203,9 @@ def _output_args(formats: tuple[str, ...] = ("json", "csv", "table")) -> tuple:
 _K, _M = _arg("-k", type=int, required=True), _arg("-m", type=int, required=True)
 _CAP = _arg("--cap", type=int, help="enumeration dimension cap override")
 _CHECKPOINT = _arg("--checkpoint", metavar="PATH", help="resumable census checkpoint log")
-_CLAIM_TAIL = (_arg("--workers", type=int, default=1, help="worker processes for censuses"),
+# a census runs in one process: --workers takes only 1, kept for the pinned command lines of perfbench/
+_WORKERS = _arg("--workers", type=int, choices=(1,), help="census worker processes (only 1)")
+_CLAIM_TAIL = (_WORKERS,
                _arg("--coset-cap", type=int, help="coset-count cap override"),
                _arg("--output", metavar="PATH", help="write the verdict JSON to a file"))
 # name -> (help, handler, its arguments in order, or a table of its subcommands)
@@ -251,7 +247,7 @@ _COMMANDS = {
     "verify": ("verify a claim; exit 0 on pass, 1 on fail", _cmd_verify, _CLAIMS),
     "census": ("balanced-word count of every coset in scope", _cmd_census, (
         _K, _M, _arg("--scope", choices=("full", "next"), default="full"),
-        _arg("--workers", type=int, default=1),
+        _WORKERS,
         _arg("--checkpoint", metavar="PATH"),
         _CAP, _arg("--coset-cap", type=int, help="coset-count cap override"),
         *_output_args(("csv", "json", "table")))),

@@ -20,10 +20,9 @@ witness from one scan of it (CosetCensus.witness): theorem5, conjecture
 and exhaustive rm1 a strict maximum (_strict_max), oddweight an even
 weight among the odd-weight cosets, equidist a second distribution.
 A brute census builds one counter of the code's span, which walks it once
-per chunk of rep ids, counting the chunk's reps in batched numpy passes;
-chunks shard deterministically across worker processes, whose pool is
-imported only for more than one worker, and can resume from an
-append-only, checksummed checkpoint log.  Sampled rm1 draws its tables
+per chunk of rep ids, in id order, counting the chunk's reps in batched
+numpy passes; it can resume from an append-only, checksummed checkpoint
+log.  Sampled rm1 draws its tables
 in the calling thread and counts batches of them on one thread per
 usable core, reading the counts in draw order.  Exhaustive rm1's census is
 spectral; theorem5's transform method, oddweight, equidist and the
@@ -33,7 +32,6 @@ walk of the dual code (see _dual_table).
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import os
 import random
@@ -120,12 +118,6 @@ class Verdict:
                 "elapsed_ms": self.elapsed_ms,
                 "method": self.method.value,
             }
-
-
-def require_workers(workers: int) -> None:
-    """Raise ParameterError unless the worker count is at least 1."""
-    if workers < 1:
-        raise ParameterError(f"worker count must be at least 1, got {workers}")
 
 
 def require_writable(path: str) -> None:
@@ -314,18 +306,15 @@ def _save_checkpoint(path: str, line: str) -> None:
 def census_balanced(
     code: RMParams,
     scope: Scope,
-    workers: int = 1,
     cap: int | None = None,
     coset_cap: int | None = None,
     checkpoint: str | None = None,
 ) -> CosetCensus:
     """Balanced-word count of every nontrivial coset in scope, plus the
     code's own count (rep id 0).  One counter counts the rep rows of each
-    rep-id chunk, in order or by a process pool that gets a copy of it
-    with each chunk; the merge is by id order, so the result is identical
-    for any worker count.  A checkpoint log gets one line per finished
-    chunk, and a rerun resumes after its last verified one."""
-    require_workers(workers)
+    rep-id chunk in id order, and only one chunk's rows are built at a
+    time.  A checkpoint log gets one line per finished chunk, and a rerun
+    resumes after its last verified one."""
     basis = _capped_rep_basis(code, scope, coset_cap)
     require_cap(code.dimension, cap, f"balanced census of {code}")
     if code.dimension > 62:
@@ -339,17 +328,15 @@ def census_balanced(
     elif checkpoint:
         _save_checkpoint(checkpoint, header)
 
-    starts = range(len(counts), ids, _CHECKPOINT_CHUNK)
-    rows = (_bitenum.span_rows(basis, code.n, np.arange(a, min(a + _CHECKPOINT_CHUNK, ids))) for a in starts)
     counter = code_counter(code)
-    if workers > 1:  # the process pool loads multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for a, part in zip(starts, (pool.map if pool else map)(counter.balanced_counts, rows)):
-            counts.extend(part.tolist())
-            if checkpoint:
-                body = " ".join(map(str, part.tolist()))
-                _save_checkpoint(checkpoint, f"{a} {zlib.crc32(body.encode()):08x} {body}\n")
+    for a in range(len(counts), ids, _CHECKPOINT_CHUNK):
+        rep_ids = np.arange(a, min(a + _CHECKPOINT_CHUNK, ids))
+        # the rows go unnamed, so each chunk's are freed before the next chunk's are built
+        part = counter.balanced_counts(_bitenum.span_rows(basis, code.n, rep_ids)).tolist()
+        counts.extend(part)
+        if checkpoint:
+            body = " ".join(map(str, part))
+            _save_checkpoint(checkpoint, f"{a} {zlib.crc32(body.encode()):08x} {body}\n")
 
     return _counted_census(code, scope, np.array(counts, dtype=np.int64), cap)
 
@@ -446,7 +433,6 @@ def verify_theorem_basic(
     k: int,
     m: int,
     method: Method = Method.BRUTE,
-    workers: int = 1,
     cap: int | None = None,
     coset_cap: int | None = None,
     checkpoint: str | None = None,
@@ -459,7 +445,7 @@ def verify_theorem_basic(
     params = {"k": k, "m": m}
 
     if method is Method.BRUTE:
-        census = census_balanced(code, Scope.FULL_SPACE, workers, cap, coset_cap, checkpoint)
+        census = census_balanced(code, Scope.FULL_SPACE, cap, coset_cap, checkpoint)
     elif method is Method.TRANSFORM:
         if checkpoint:
             raise ParameterError("checkpoints are for the brute census, not the transform method")
@@ -472,7 +458,6 @@ def verify_theorem_basic(
 def verify_quotient_conjecture(
     k: int,
     m: int,
-    workers: int = 1,
     cap: int | None = None,
     coset_cap: int | None = None,
     checkpoint: str | None = None,
@@ -483,7 +468,7 @@ def verify_quotient_conjecture(
     if not isinstance(k, int) or not 1 <= k <= m - 1:
         raise ParameterError(f"quotient check needs 1 <= k <= m-1, got k={k}, m={m}")
     code = RMParams(k, m)
-    census = census_balanced(code, Scope.WITHIN_NEXT_ORDER, workers, cap, coset_cap, checkpoint)
+    census = census_balanced(code, Scope.WITHIN_NEXT_ORDER, cap, coset_cap, checkpoint)
     return _strict_max("conjecture", {"k": k, "m": m}, Mode.EMPIRICAL, Method.BRUTE, census, t0)
 
 
@@ -529,6 +514,8 @@ def verify_rm1_proposition(
         raise ParameterError(f"sampled proposition check supports 2 <= m <= 16, got {m}")
     if samples < 1:
         raise ParameterError(f"sample count must be positive, got {samples}")
+    if seed < 0:  # random.Random(-s) replays the stream of Random(s)
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
 
     n = 1 << m
     rng = random.Random(seed)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -27,7 +28,6 @@ else:  # pytest itself requires tomli below 3.11
     import tomli as tomllib
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 WEIGHTDIST_ARGS = ["weightdist", "-k", "1", "-m", "3", "--format", "csv"]
 WEIGHTDIST_CSV = "weight,count\n0,1\n4,14\n8,1\n"
 
@@ -90,14 +90,14 @@ COMMAND_LINES = {
     ("cosetdist",): ["-k", "1", "-m", "3", "--rep", "03", "--method", "brute", "--cap", "9", "--output", "o"],
     ("wht",): ["-m", "2", "--anf", "Y1Y2", "--format", "csv"],
     ("verify", "theorem5"): ["-k", "2", "-m", "4", "--method", "transform", "--cap", "9",
-                             "--checkpoint", "c", "--workers", "2", "--coset-cap", "7", "--output", "o"],
+                             "--checkpoint", "c", "--workers", "1", "--coset-cap", "7", "--output", "o"],
     ("verify", "conjecture"): ["-k", "1", "-m", "3", "--cap", "9", "--checkpoint", "c",
-                               "--workers", "2", "--coset-cap", "7", "--output", "o"],
+                               "--workers", "1", "--coset-cap", "7", "--output", "o"],
     ("verify", "rm1"): ["-m", "5", "--sampled", "--samples", "10", "--seed", "3",
-                        "--workers", "2", "--coset-cap", "7", "--output", "o"],
-    ("verify", "oddweight"): ["-m", "3", "--cap", "9", "--workers", "2", "--coset-cap", "7", "--output", "o"],
-    ("verify", "equidist"): ["-m", "3", "--cap", "9", "--workers", "2", "--coset-cap", "7", "--output", "o"],
-    ("census",): ["-k", "1", "-m", "3", "--scope", "next", "--workers", "2", "--checkpoint", "c",
+                        "--workers", "1", "--coset-cap", "7", "--output", "o"],
+    ("verify", "oddweight"): ["-m", "3", "--cap", "9", "--workers", "1", "--coset-cap", "7", "--output", "o"],
+    ("verify", "equidist"): ["-m", "3", "--cap", "9", "--workers", "1", "--coset-cap", "7", "--output", "o"],
+    ("census",): ["-k", "1", "-m", "3", "--scope", "next", "--workers", "1", "--checkpoint", "c",
                   "--cap", "9", "--coset-cap", "7", "--format", "json", "--output", "o"],
 }
 
@@ -546,6 +546,15 @@ def test_sampled_rm1_refuses_a_coset_cap(capsys, mode):
         assert code == 2 and out == "" and "coset cap applies to the exhaustive check" in err
 
 
+def test_sampled_rm1_refuses_a_negative_seed(capsys):
+    # Random(-s) replays Random(s): seed -7 would check seed 7's tables
+    # under a verdict that records -7
+    code, out, err = run(capsys, "verify", "rm1", "-m", "3", "--sampled", "--seed", "-1")
+    assert code == 2 and out == "" and "seed must be nonnegative, got -1" in err
+    code, out, _ = run(capsys, "verify", "rm1", "-m", "3", "--sampled", "--samples", "20", "--seed", "0")
+    assert code == 0 and json.loads(out)["params"] == {"m": 3, "samples": 20, "seed": 0}
+
+
 def test_exhaustive_rm1_still_reads_the_coset_cap(capsys):
     _, plain, _ = run(capsys, "verify", "rm1", "-m", "3", "--exhaustive")
     code, out, _ = run(capsys, "verify", "rm1", "-m", "3", "--exhaustive", "--coset-cap", "16")
@@ -557,18 +566,21 @@ def test_exhaustive_rm1_still_reads_the_coset_cap(capsys):
     assert code == 2 and "coset cap override must be a nonnegative int" in err
 
 
-def test_workers_must_be_positive(capsys):
-    for workers in ("0", "-1"):
-        code, out, err = run(capsys, "census", "-k", "1", "-m", "3", "--workers", workers)
-        assert code == 2 and out == "" and "worker count" in err
-        code, out, err = run(capsys, "verify", "conjecture", "-k", "1", "-m", "3",
-                             "--workers", workers)
-        assert code == 2 and out == "" and "worker count" in err
-        code, out, err = run(capsys, "verify", "oddweight", "-m", "3", "--workers", workers)
-        assert code == 2 and out == "" and "worker count" in err
-        code, out, err = run(capsys, "verify", "theorem5", "-k", "2", "-m", "4",
-                             "--method", "transform", "--workers", workers)
-        assert code == 2 and out == "" and "worker count" in err
+def test_workers_must_be_positive(capsys, tmp_path, monkeypatch):
+    # every census runs in one process: --workers takes only 1, on the
+    # census and on every claim, and a refused run writes nothing
+    monkeypatch.chdir(tmp_path)
+    paths = [path for path, argv in COMMAND_LINES.items() if "--workers" in argv]
+    assert paths == [("verify", claim) for claim in cli._CLAIMS] + [("census",)]
+    for path, workers in itertools.product(paths, ("0", "-1", "2")):
+        argv = COMMAND_LINES[path]
+        at = argv.index("--workers") + 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path, *argv[:at], workers, *argv[at + 1:]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", (path, workers)
+        assert "argument --workers: invalid choice" in captured.err, (path, workers)
+    assert not list(tmp_path.iterdir())
 
 
 def test_census_checkpoint(capsys, tmp_path):
@@ -665,16 +677,6 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0 and proc.stdout == WEIGHTDIST_CSV, proc.stderr
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_full_verification_rejects_nonpositive_workers(tmp_path, workers):
-    # exit 2 is a usage error; exit 1 would claim that a claim failed
-    script = str(SCRIPTS / "run_full_verification.py")
-    proc = run_child([sys.executable, script, "--workers", workers], tmp_path)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "--workers must be at least 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 @pytest.mark.skipif(shutil.which("rmlab") is None, reason="rmlab console script not installed")
 def test_console_script_on_path(tmp_path):
     proc = run_child(["rmlab", *WEIGHTDIST_ARGS], tmp_path)
@@ -688,10 +690,15 @@ def main_modules(argv, tmp_path) -> dict:
 
 
 def test_cli_import_leaves_out_the_process_pool(tmp_path):
-    # only --workers above 1 uses the pool, and its import loads
-    # multiprocessing, socket and subprocess into every process
-    loaded = main_modules(WEIGHTDIST_ARGS, tmp_path)["import"]
-    assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded
+    # a census runs in one process: neither the import nor main loads
+    # multiprocessing, socket and subprocess with a process pool
+    for argv in (WEIGHTDIST_ARGS,
+                 ["census", "-k", "2", "-m", "5", "--scope", "full", "--format", "csv", "--output", "out"],
+                 ["verify", "theorem5", "-k", "2", "-m", "4", "--output", "out"]):
+        got = main_modules(argv, tmp_path)
+        loaded = got["import"] + got["main"]
+        assert got["code"] == 0, argv
+        assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -222,16 +222,48 @@ def test_census_brute_agrees_with_transform_distribution():
 @pytest.mark.parametrize("logged", [False, True])
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_census_workers_match_serial(tmp_path, monkeypatch, chunk, logged):
-    # RM(1,4)'s 2,048 ids are one chunk by default; in chunks of 7 the
-    # pool counts 293 chunks, which are merged (and logged) in id order
+    # RM(1,4)'s 2,048 ids are one chunk by default and 293 chunks of 7:
+    # one process counts them in id order, the same counts at either size,
+    # and logs one line per chunk
+    code = RMParams(1, 4)
+    default = census_balanced(code, Scope.FULL_SPACE)
     if chunk:
         monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", chunk)
-    code = RMParams(1, 4)
-    logs = [tmp_path / f"census-{workers}.log" for workers in (1, 2)]
-    serial = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(logs[0]) if logged else None)
-    parallel = census_balanced(code, Scope.FULL_SPACE, workers=2, checkpoint=str(logs[1]) if logged else None)
-    assert serial == parallel
-    assert not logged or logs[0].read_text() == logs[1].read_text()
+    path = tmp_path / "census.log"
+    census = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path) if logged else None)
+    assert census == default
+    if logged:
+        counts, step = default.id_counts(), harness._CHECKPOINT_CHUNK
+        lines = [chunk_line(a, " ".join(map(str, counts[a : a + step]))) for a in range(0, len(counts), step)]
+        assert len(lines) == (293 if chunk else 1)
+        assert path.read_bytes() == ("census 1 1 4 FULL_SPACE 2047\n" + "".join(lines)).encode()
+
+
+def test_census_builds_one_chunk_of_rows_at_a_time(monkeypatch):
+    # RM(1,3)'s 16 ids in chunks of 5: each chunk's rep rows are counted
+    # before the next chunk's are built, so no two chunks are held at once
+    monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", 5)
+    span_rows, balanced_counts = harness._bitenum.span_rows, SpanCounter.balanced_counts
+    calls, counting = [], []
+
+    def rows_spy(basis, n, ids):
+        if not counting:  # a fold inside balanced_counts builds its own rows
+            calls.append(("rows", len(ids)))
+        return span_rows(basis, n, ids)
+
+    def count_spy(self, offsets):
+        calls.append(("count", len(offsets)))
+        counting.append(True)
+        try:
+            return balanced_counts(self, offsets)
+        finally:
+            counting.pop()
+
+    monkeypatch.setattr(harness._bitenum, "span_rows", rows_spy)
+    monkeypatch.setattr(SpanCounter, "balanced_counts", count_spy)
+    census = census_balanced(RMParams(1, 3), Scope.FULL_SPACE)
+    assert census.id_counts() == RM13_FULL
+    assert calls == [("rows", 5), ("count", 5)] * 3 + [("rows", 1), ("count", 1)]
 
 
 def test_one_worker_census_builds_one_counter(monkeypatch):
@@ -246,12 +278,6 @@ def test_one_worker_census_builds_one_counter(monkeypatch):
     census = census_balanced(RMParams(2, 5), Scope.FULL_SPACE)
     assert len(census.classes) == 16 * harness._CHECKPOINT_CHUNK
     assert built == [(RMParams(2, 5),)]
-
-
-def test_census_workers_must_be_positive():
-    for workers in (0, -1):
-        with pytest.raises(ParameterError, match="worker count"):
-            census_balanced(RMParams(1, 3), Scope.FULL_SPACE, workers=workers)
 
 
 def test_default_caps_fold_every_census_span_above_one_pass():
@@ -318,8 +344,7 @@ def test_complete_log_runs_no_chunk(tmp_path, monkeypatch):
         raise AssertionError(f"a complete log recounted {len(offsets)} reps")
 
     monkeypatch.setattr(SpanCounter, "balanced_counts", no_count)
-    for workers in (1, 2):
-        assert census_balanced(code, Scope.FULL_SPACE, workers, checkpoint=path) == fresh
+    assert census_balanced(code, Scope.FULL_SPACE, checkpoint=path) == fresh
 
 
 def test_torn_last_line_is_recomputed(tmp_path, monkeypatch):
@@ -330,17 +355,6 @@ def test_torn_last_line_is_recomputed(tmp_path, monkeypatch):
     log = path.read_text()
     path.write_text(log[: log.rindex("\n", 0, -1) + 6])
     assert census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path)) == fresh
-    assert path.read_text() == log
-
-
-def test_resume_with_workers_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_CHECKPOINT_CHUNK", 3)
-    code = RMParams(1, 3)
-    path = tmp_path / "census.log"
-    serial = census_balanced(code, Scope.FULL_SPACE, checkpoint=str(path))
-    log = path.read_text()
-    path.write_text("".join(log.splitlines(keepends=True)[:2]))
-    assert census_balanced(code, Scope.FULL_SPACE, workers=2, checkpoint=str(path)) == serial
     assert path.read_text() == log
 
 
@@ -779,6 +793,9 @@ def test_verify_rm1_sampled():
         verify_rm1_proposition(17, exhaustive=False)
     with pytest.raises(ParameterError):
         verify_rm1_proposition(5, samples=0)
+    with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
+        verify_rm1_proposition(5, samples=10, seed=-1)
+    assert verify_rm1_proposition(5, samples=10, seed=0).params["seed"] == 0
 
 
 def test_verify_oddweight():
